@@ -3,10 +3,17 @@
 Solves T-Cycle (with witness), vertex-disjoint linkages for a matching,
 and the subdivided M-cycle variant.  Each edge of the graph is charged to
 the node closest to the root whose bag contains both endpoints, so it is
-considered exactly once.
+considered exactly once.  That node is the deeper of the two endpoints'
+topmost nodes: the nodes holding both endpoints form a subtree, and its
+top is whichever of the two topmost nodes lies below the other.
+
+T-Cycle witnesses are backpointers, not edge sets: None at a leaf,
+("e", eid, prev) where an edge step took eid, and ("j", wa, wb) at a join.
+States share their history this way, and the edge set of the one state
+that answers is rebuilt once at the root.
 """
 
-from .errors import InvalidConfiguration
+from .errors import InvalidConfiguration, TCycleError
 from .graph import EmbeddedGraph
 from .oracle import check_matching, is_t_loop
 from .treewidth import NiceTreeDecomposition, TreeDecomposition, build, make_nice
@@ -20,9 +27,12 @@ def _prepare(graph, td):
         td = make_nice(td)
     td.validate(graph)
     depth = {td.root: 0}
+    top = {}
     stack = [td.root]
     while stack:
         x = stack.pop()
+        for v in td.bags[x]:
+            top.setdefault(v, x)  # parents come first, so this is v's top
         for c in td.children[x]:
             depth[c] = depth[x] + 1
             stack.append(c)
@@ -31,8 +41,7 @@ def _prepare(graph, td):
         u, v = graph.edges[eid]
         if u == v:
             continue  # a loop edge is never part of a simple cycle or path
-        cands = [n for n, bag in td.bags.items() if u in bag and v in bag]
-        assign[min(cands, key=lambda n: depth[n])].append(eid)
+        assign[max(top[u], top[v], key=depth.__getitem__)].append(eid)
     return td, assign
 
 
@@ -75,7 +84,7 @@ def _components(pair_edges):
 
 class _TCycleDP:
     """State: per-bag-vertex degrees, pairing of the open path ends, and a
-    closed flag; values carry one witness edge set per state."""
+    closed flag; values carry one witness backpointer per state."""
 
     def __init__(self, graph, terminals, td, assign):
         self.g = graph
@@ -89,7 +98,7 @@ class _TCycleDP:
             kind = self.td.kind[node]
             bag = tuple(sorted(self.td.bags[node]))
             if kind == "leaf":
-                table = {((), frozenset(), False): frozenset()}
+                table = {((), frozenset(), False): None}
             elif kind == "introduce":
                 table = self._introduce(tables, node, bag)
             elif kind == "forget":
@@ -102,7 +111,21 @@ class _TCycleDP:
                 table = self._edge(table, bag, eid)
             tables[node] = table
         root = tables[self.td.root]
-        return root.get(((), frozenset(), True))
+        key = ((), frozenset(), True)
+        if key not in root:
+            return None
+        edges = []
+        stack = [root[key]]
+        while stack:
+            wit = stack.pop()
+            if wit is None:
+                continue
+            if wit[0] == "e":
+                edges.append(wit[1])
+                stack.append(wit[2])
+            else:
+                stack.extend(wit[1:])
+        return edges
 
     def _introduce(self, tables, node, bag):
         (child,) = self.td.children[node]
@@ -151,7 +174,7 @@ class _TCycleDP:
                 if closed and pairs:
                     continue
                 key = (degs, pairs, closed)
-                out.setdefault(key, wa | wb)
+                out.setdefault(key, ("j", wa, wb))
         return out
 
     def _edge(self, table, bag, eid):
@@ -186,7 +209,7 @@ class _TCycleDP:
                 if x == y:
                     continue
                 key = (ndegs, (pairs - {pu, pv}) | {frozenset({x, y})}, False)
-            out.setdefault(key, wit | {eid})
+            out.setdefault(key, ("e", eid, wit))
         return out
 
 
@@ -202,7 +225,8 @@ def solve_t_cycle(graph, terminals=None, td=None):
     if wit is None:
         return None
     loop = sorted(wit)
-    assert is_t_loop(graph, T, loop)
+    if not is_t_loop(graph, T, loop):
+        raise TCycleError(f"witness of {len(loop)} edges is not a T-loop")
     return loop
 
 

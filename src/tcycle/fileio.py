@@ -41,6 +41,8 @@ def parse(text):
                     raise ParseError(f"line {lineno}: duplicate edge id {eid}")
                 edges[eid] = (int(u), int(v))
             elif kind == "rot":
+                if not args:
+                    raise ParseError(f"line {lineno}: rotation without a vertex")
                 v = int(args[0])
                 if v in rotation:
                     raise ParseError(f"line {lineno}: duplicate rotation for {v}")

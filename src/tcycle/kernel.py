@@ -72,7 +72,7 @@ class ProtrusionDecomposition:
                 raise InvalidConfiguration("part touches something outside x0")
             if len(B) > self.gamma:
                 raise InvalidConfiguration("boundary larger than gamma")
-            w = build(graph.subgraph(part | B)).validate(graph.subgraph(part | B))
+            w = build(graph.subgraph(part | B)).width
             if w > self.gamma:
                 raise InvalidConfiguration("part width larger than gamma")
             widest = max(widest, w)

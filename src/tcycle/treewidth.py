@@ -5,6 +5,9 @@ No exact treewidth is attempted; every decomposition is validated before
 use, and the consumers only need validity, not optimality.
 """
 
+import heapq
+from collections import deque
+
 from .errors import (
     EdgeUncovered,
     InvalidDecomposition,
@@ -41,9 +44,9 @@ class TreeDecomposition:
         parent = {self.root: None}
         children = {n: [] for n in self.bags}
         order = [self.root]
-        queue = [self.root]
+        queue = deque([self.root])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             for y in sorted(self.adj[x]):
                 if y not in parent:
                     parent[y] = x
@@ -67,7 +70,7 @@ class TreeDecomposition:
             for v in bag:
                 occurrences[v].add(n)
         for eid, (u, v) in graph.edges.items():
-            if not any(u in bag and v in bag for bag in self.bags.values()):
+            if occurrences[u].isdisjoint(occurrences[v]):
                 raise EdgeUncovered(f"edge {eid} ({u},{v}) is in no bag")
         for v, occ in occurrences.items():
             if not occ:
@@ -87,39 +90,51 @@ class TreeDecomposition:
         return self.width
 
 
+def _fill(adj, v):
+    """Edges missing among the neighbours of v."""
+    nb = adj[v]
+    return sum(1 for a in nb for b in nb if a < b and b not in adj[a])
+
+
 def _greedy_fill(graph):
-    """Min-fill elimination ordering; returns (order, bags per vertex)."""
+    """Min-fill elimination ordering; returns (order, bags per vertex).
+
+    Each step eliminates the vertex of least fill, ties going to the
+    smallest vertex.  A heap holds (fill, vertex) entries with lazy
+    updates (Bodlaender and Koster, Treewidth computations I, 2010):
+    eliminating v changes the fill of v's neighbours and of their
+    neighbours only, so just those are recomputed and pushed, and an entry
+    whose fill is no longer current is skipped when popped.
+    """
     adj = {v: set() for v in graph.vertices}
     for u, v in graph.edges.values():
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
+    fill = {v: _fill(adj, v) for v in adj}
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
     order = []
     bags = []
-    left = set(adj)
-    while left:
-        best, best_fill = None, None
-        for v in sorted(left):
-            nb = adj[v]
-            fill = sum(
-                1
-                for a in nb
-                for b in nb
-                if a < b and b not in adj[a]
-            )
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        nb = set(adj[best])
+    while heap:
+        f, best = heapq.heappop(heap)
+        if best not in adj or fill[best] != f:
+            continue
+        nb = adj.pop(best)
         order.append(best)
         bags.append(frozenset({best} | nb))
         for a in nb:
-            for b in nb:
-                if a != b:
-                    adj[a].add(b)
-        for a in nb:
+            adj[a] |= nb
+            adj[a].discard(a)
             adj[a].discard(best)
-        del adj[best]
-        left.discard(best)
+        touched = set(nb)
+        for a in nb:
+            touched |= adj[a]
+        for w in touched:
+            f = _fill(adj, w)
+            if f != fill[w]:
+                fill[w] = f
+                heapq.heappush(heap, (f, w))
     return order, bags
 
 
@@ -197,20 +212,25 @@ class NiceTreeDecomposition(TreeDecomposition):
         return v
 
     def check_shape(self):
+        """Check the nice-form rules node by node; raise InvalidDecomposition
+        at the first node that breaks one."""
         for n, k in self.kind.items():
             bag = self.bags[n]
             cs = self.children[n]
             if k == "leaf":
-                assert not bag and not cs
+                ok = not bag and not cs
             elif k == "introduce":
-                assert len(cs) == 1 and bag > self.bags[cs[0]] and len(bag - self.bags[cs[0]]) == 1
+                ok = len(cs) == 1 and bag > self.bags[cs[0]] and len(bag - self.bags[cs[0]]) == 1
             elif k == "forget":
-                assert len(cs) == 1 and bag < self.bags[cs[0]] and len(self.bags[cs[0]] - bag) == 1
+                ok = len(cs) == 1 and bag < self.bags[cs[0]] and len(self.bags[cs[0]] - bag) == 1
             elif k == "join":
-                assert len(cs) == 2 and all(self.bags[c] == bag for c in cs)
+                ok = len(cs) == 2 and all(self.bags[c] == bag for c in cs)
             else:
                 raise InvalidDecomposition(f"unknown node kind {k!r}")
-        assert not self.bags[self.root]
+            if not ok:
+                raise InvalidDecomposition(f"node {n} is not a valid {k} node")
+        if self.bags[self.root]:
+            raise InvalidDecomposition("root bag is not empty")
         return True
 
 

@@ -38,6 +38,13 @@ def test_missing_file_is_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bare_rotation_line_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "rot.txt"
+    path.write_text("v 1\nrot\n")
+    assert main(["solve", str(path)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_reduce_writes_graph_and_report(tmp_path, capsys):
     depth = 6
     g = generate.nested_rings(depth)

@@ -3,21 +3,22 @@ import random
 
 import pytest
 
-from tcycle import generate
+from tcycle import dp, generate
 from tcycle.dp import (
+    _prepare,
     solve_disjoint_paths,
     solve_m_cycle,
     solve_t_cycle,
     subdivided_instance,
 )
-from tcycle.errors import InvalidConfiguration, InvalidDecomposition
+from tcycle.errors import InvalidConfiguration, InvalidDecomposition, TCycleError
 from tcycle.graph import EmbeddedGraph
 from tcycle.oracle import (
     brute_disjoint_paths,
     brute_t_cycle,
     is_t_loop,
 )
-from tcycle.treewidth import build
+from tcycle.treewidth import build, make_nice
 
 
 def test_triangle_yes():
@@ -154,3 +155,59 @@ def test_loop_implies_m_cycle_on_pair():
         u, v = vs[0], vs[-1]
         if solve_t_cycle(g, {u, v}) is not None:
             assert solve_m_cycle(g, [u, v], [(u, v)])
+
+
+def naive_assign(graph, td):
+    """Reference edge assignment: scan every bag for each edge and take the
+    holder closest to the root."""
+    depth = {td.root: 0}
+    stack = [td.root]
+    while stack:
+        x = stack.pop()
+        for c in td.children[x]:
+            depth[c] = depth[x] + 1
+            stack.append(c)
+    assign = {n: [] for n in td.bags}
+    for eid in sorted(graph.edges):
+        u, v = graph.edges[eid]
+        if u == v:
+            continue
+        cands = [n for n, bag in td.bags.items() if u in bag and v in bag]
+        assign[min(cands, key=lambda n: depth[n])].append(eid)
+    return assign
+
+
+def assignment_graphs():
+    rng = random.Random(1997)
+    for seed in range(30):
+        yield generate.random_planar(rng.randrange(6, 36), seed=seed, drop=rng.choice((0.0, 0.3)))
+    for rows, cols in ((3, 3), (4, 6), (6, 6)):
+        yield generate.grid(rows, cols)
+    for rows in (2, 3, 4):
+        for cols in (2, 11, 40):
+            yield generate.grid(rows, cols)
+    for rings, size, spoke in ((3, 3, 1), (5, 4, 1), (7, 5, 2)):
+        yield generate.nested_rings(rings, ring_size=size, spoke_every=spoke)
+
+
+def test_prepare_assignment_matches_naive_reference():
+    for g in assignment_graphs():
+        for td in (None, build(g, mode="radial"), make_nice(build(g))):
+            nice, assign = _prepare(g, td)
+            assert assign == naive_assign(g, nice)
+
+
+def test_long_ladder_solves():
+    n = 10000
+    g = generate.grid(2, n, terminals={1, n // 2, n, n + 1, 2 * n})
+    loop = solve_t_cycle(g)
+    assert loop is not None and is_t_loop(g, g.terminals, loop)
+    assert len(loop) == 2 * n
+
+
+def test_bad_witness_raises(monkeypatch):
+    run = dp._TCycleDP.run
+    monkeypatch.setattr(dp._TCycleDP, "run", lambda self: run(self)[1:])
+    g = generate.grid(3, 4, terminals={1, 12})
+    with pytest.raises(TCycleError):
+        solve_t_cycle(g)

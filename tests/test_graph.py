@@ -183,6 +183,11 @@ def test_parse_errors():
         parse("q 1\n")
 
 
+def test_parse_bare_rotation_line():
+    with pytest.raises(ParseError):
+        parse("v 1\nrot\n")
+
+
 def test_subgraph_keeps_embedding():
     g = generate.random_planar(14, seed=11)
     keep = sorted(g.vertices)[:9]

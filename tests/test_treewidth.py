@@ -9,7 +9,9 @@ from tcycle.errors import (
     VertexSubtreeDisconnected,
 )
 from tcycle.treewidth import (
+    NiceTreeDecomposition,
     TreeDecomposition,
+    _greedy_fill,
     build,
     lca_closure,
     make_nice,
@@ -125,6 +127,79 @@ def test_make_nice_grid():
         nice.distinguished(n) for n, k in nice.kind.items() if k == "forget"
     ]
     assert sorted(forgotten) == sorted(g.vertices)
+
+
+def test_check_shape_raises_on_broken_nodes():
+    open_root = NiceTreeDecomposition(
+        {0: set(), 1: {1}}, {0: "leaf", 1: "introduce"}, {0: [], 1: [0]}, 1
+    )
+    with pytest.raises(InvalidDecomposition):
+        open_root.check_shape()  # the root bag is not empty
+    bad_kind = NiceTreeDecomposition(
+        {0: set(), 1: {1}, 2: set()},
+        {0: "leaf", 1: "forget", 2: "forget"},
+        {0: [], 1: [0], 2: [1]},
+        2,
+    )
+    with pytest.raises(InvalidDecomposition):
+        bad_kind.check_shape()  # node 1 grows its bag but claims to forget
+    nice = make_nice(build(generate.grid(3, 3)))
+    assert nice.check_shape()
+    nice.kind[next(n for n, k in nice.kind.items() if k == "leaf")] = "join"
+    with pytest.raises(InvalidDecomposition):
+        nice.check_shape()
+
+
+def naive_greedy_fill(graph):
+    """Reference min-fill ordering: rescans every remaining vertex at each
+    step, ties going to the smallest vertex."""
+    adj = {v: set() for v in graph.vertices}
+    for u, v in graph.edges.values():
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    order = []
+    bags = []
+    left = set(adj)
+    while left:
+        best, best_fill = None, None
+        for v in sorted(left):
+            nb = adj[v]
+            fill = sum(1 for a in nb for b in nb if a < b and b not in adj[a])
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        nb = set(adj[best])
+        order.append(best)
+        bags.append(frozenset({best} | nb))
+        for a in nb:
+            for b in nb:
+                if a != b:
+                    adj[a].add(b)
+        for a in nb:
+            adj[a].discard(best)
+        del adj[best]
+        left.discard(best)
+    return order, bags
+
+
+def differential_graphs():
+    """Seeded random planar graphs, grids, 2/3/4-row ladders and ring
+    towers."""
+    rng = random.Random(2010)
+    for seed in range(40):
+        yield generate.random_planar(rng.randrange(6, 40), seed=seed, drop=rng.choice((0.0, 0.3, 0.6)))
+    for rows, cols in ((3, 3), (4, 5), (5, 7), (6, 6), (7, 9)):
+        yield generate.grid(rows, cols)
+    for rows in (2, 3, 4):
+        for cols in (2, 9, 31, 60):
+            yield generate.grid(rows, cols)
+    for rings, size, spoke in ((3, 3, 1), (5, 4, 1), (6, 6, 2), (9, 5, 3)):
+        yield generate.nested_rings(rings, ring_size=size, spoke_every=spoke)
+
+
+def test_greedy_fill_matches_naive_reference():
+    for g in differential_graphs():
+        assert _greedy_fill(g) == naive_greedy_fill(g)
 
 
 def random_tree_td(n, seed):
