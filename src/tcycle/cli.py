@@ -31,6 +31,27 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _verdict(found, *lines):
+    """Print YES (with any witness lines) or NO and return the exit code the
+    answer gives.  The code stands when the reader closes stdout early."""
+    try:
+        print("YES" if found else "NO")
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return 0 if found else 1
+
+
+def _drop_stdout():
+    """The reader closed stdout (as `| head` does): send what is left,
+    the interpreter's final flush included, to os.devnull."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _budget(args):
     if getattr(args, "g", None) is not None:
         return IsolationBudget(args.g)
@@ -45,11 +66,8 @@ def cmd_solve(args):
             td = from_pace_lines(fh.read().splitlines())
     loop = solve_t_cycle(g, td=td)
     if loop is None:
-        print("NO")
-        return 1
-    print("YES")
-    print(" ".join(str(e) for e in sorted(loop)))
-    return 0
+        return _verdict(False)
+    return _verdict(True, " ".join(str(e) for e in sorted(loop)))
 
 
 def cmd_reduce(args):
@@ -115,21 +133,14 @@ def cmd_oracle(args):
     if args.oracle_cmd == "t-cycle":
         loop = brute_t_cycle(g)
         if loop is None:
-            print("NO")
-            return 1
-        print("YES")
-        print(" ".join(str(e) for e in sorted(loop)))
-        return 0
+            return _verdict(False)
+        return _verdict(True, " ".join(str(e) for e in sorted(loop)))
     if args.oracle_cmd == "disjoint-paths":
         ends = args.endpoints
         pairs = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
-        got = brute_disjoint_paths(g, pairs)
-        print("YES" if got is not None else "NO")
-        return 0 if got is not None else 1
+        return _verdict(brute_disjoint_paths(g, pairs) is not None)
     # isolation
-    ok = brute_isolation(g, g.terminals, args.vertex, args.level)
-    print("YES" if ok else "NO")
-    return 0 if ok else 1
+    return _verdict(brute_isolation(g, g.terminals, args.vertex, args.level))
 
 
 def cmd_check_config(args):
@@ -254,7 +265,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout closed early; commands without a verdict print only after
+        # they have succeeded
+        _drop_stdout()
+        return 0
     except TCycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

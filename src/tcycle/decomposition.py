@@ -271,14 +271,12 @@ def reed_pipeline(graph, terminals=None, budget=None):
         (inst,), _ = cut_reduction(inst)
     pieces = [inst]
 
-    emb = graph.embedding()
+    # radial distance is symmetric, so one BFS from T decides isolation
+    # from T for every boundary vertex (tested in the original graph)
+    dist = radial_bfs(graph, sorted(T))
     surviving = []
     for piece in pieces:
-        iso = {
-            v
-            for v in sorted(piece.boundary)
-            if is_isolated(graph, T, v, g, emb)
-        }
+        iso = {v for v in piece.boundary if dist.get(v, g + 1) > g}
         for v in sorted(iso):
             removed.append((v, "isolated-boundary", g))
         if iso >= piece.boundary:

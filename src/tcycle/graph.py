@@ -58,6 +58,25 @@ class EmbeddedGraph:
                 raise UnknownVertex(f"edge {eid} touches unknown vertex")
         if not self.terminals <= self.vertices:
             raise UnknownVertex("terminal is not a vertex")
+        # one multiset of (vertex, edge end) pairs on each side, compared as
+        # plain dicts (no count is zero, and Counter's own == loops in
+        # Python); the per-vertex scan runs only to name a vertex that differs
+        want = Counter()
+        for eid, (u, v) in self.edges.items():
+            want[u, eid] += 1
+            want[v, eid] += 1
+        have = Counter(
+            (v, eid)
+            for v, rot in self.rotation.items()
+            if v in self.vertices
+            for eid in rot
+        )
+        if dict.__ne__(have, want):
+            self._report_rotation_mismatch()
+
+    def _report_rotation_mismatch(self):
+        """Raise MalformedRotation for the first vertex, in set order, whose
+        rotation does not list exactly its incident edge ends."""
         want = {v: Counter() for v in self.vertices}
         for eid, (u, v) in self.edges.items():
             want[u][eid] += 1
@@ -84,20 +103,16 @@ class EmbeddedGraph:
         out.discard(v)
         return out
 
-    def edge_between(self, u, v):
-        """Some edge id joining u and v, or None."""
-        for eid in self.rotation.get(u, ()):
-            a, b = self.edges[eid]
-            if {a, b} == {u, v}:
-                return eid
-        return None
-
     def other_end(self, eid, v):
         a, b = self.edges[eid]
         return b if a == v else a
 
     def components(self):
         """Connected components as a list of frozensets of vertices."""
+        adj = {v: [] for v in self.vertices}
+        for u, v in self.edges.values():
+            adj[u].append(v)
+            adj[v].append(u)
         seen = set()
         out = []
         for s in sorted(self.vertices):
@@ -106,8 +121,7 @@ class EmbeddedGraph:
             comp = {s}
             queue = deque([s])
             while queue:
-                x = queue.popleft()
-                for y in self.neighbors(x):
+                for y in adj[queue.popleft()]:
                     if y not in comp:
                         comp.add(y)
                         queue.append(y)
@@ -119,8 +133,11 @@ class EmbeddedGraph:
 
     def subgraph(self, keep):
         """Induced subgraph on the vertex set keep; embedding is inherited by
-        filtering every rotation, which preserves planarity."""
+        filtering every rotation, which preserves planarity.  Keeping every
+        vertex returns self, traced faces included."""
         keep = frozenset(keep)
+        if keep == self.vertices:
+            return self
         edges = {
             eid: (u, v)
             for eid, (u, v) in self.edges.items()
@@ -186,62 +203,57 @@ class Embedding:
         return self.outer_faces[self.component_of[v]]
 
 
-def _darts_at(graph):
-    """For every vertex, the darts leaving it in rotation order."""
-    out = {}
-    for v in graph.vertices:
-        darts = []
-        seen_loop = Counter()
-        for eid in graph.rotation.get(v, ()):
-            a, b = graph.edges[eid]
-            if a == b:
-                darts.append((eid, seen_loop[eid]))
-                seen_loop[eid] += 1
-            else:
-                darts.append((eid, 0 if a == v else 1))
-        out[v] = darts
-    return out
-
-
-def _dart_head(graph, dart):
-    eid, side = dart
-    a, b = graph.edges[eid]
-    return b if side == 0 else a
+def _darts_at(graph, v):
+    """The darts leaving v in rotation order.  The two ends of a loop at v
+    get sides 0 and 1 in the order the rotation lists them."""
+    darts = []
+    loops = None  # loop edges met so far; most vertices have none
+    for eid in graph.rotation.get(v, ()):
+        a, b = graph.edges[eid]
+        if a != b:
+            darts.append((eid, 0 if a == v else 1))
+            continue
+        if loops is None:
+            loops = set()
+        darts.append((eid, 1 if eid in loops else 0))
+        loops.add(eid)
+    return darts
 
 
 def _trace_embedding(graph):
-    darts_at = _darts_at(graph)
-    pos = {}
-    for v, darts in darts_at.items():
-        for i, d in enumerate(darts):
-            pos[d] = (v, i)
+    # Faces are the orbits of the dart successor permutation (Mohar and
+    # Thomassen, Graphs on Surfaces, 2001): a dart arriving at w as the
+    # reverse of w's i-th dart continues along w's (i+1)-th dart.  Faces
+    # are numbered in order of their first dart, vertices ascending and each
+    # vertex's darts in rotation order, then one face per isolated vertex.
+    order = sorted(graph.vertices)
+    rings = [_darts_at(graph, v) for v in order]
+    succ = {}
+    for ring in rings:
+        nxt = ring[1:] + ring[:1]
+        for (eid, side), d in zip(ring, nxt):
+            succ[eid, 1 - side] = d
 
-    def next_face_dart(d):
-        w = _dart_head(graph, d)
-        rev = (d[0], 1 - d[1])
-        _, p = pos[rev]
-        ring = darts_at[w]
-        return ring[(p + 1) % len(ring)]
-
+    edges = graph.edges
     faces = []
     face_of_dart = {}
-    for v in sorted(graph.vertices):
-        for start in darts_at[v]:
+    for ring in rings:
+        for start in ring:
             if start in face_of_dart:
                 continue
-            walk = []
-            d = start
-            while True:
+            fid = len(faces)
+            walk = [start]
+            face_of_dart[start] = fid
+            d = succ[start]
+            while d != start:
                 walk.append(d)
-                face_of_dart[d] = len(faces)
-                d = next_face_dart(d)
-                if d == start:
-                    break
-            verts = frozenset(pos[d][0] for d in walk)
-            eids = frozenset(d[0] for d in walk)
-            faces.append(Face(len(faces), tuple(walk), verts, eids))
-    for v in sorted(graph.vertices):
-        if graph.degree(v) == 0:
+                face_of_dart[d] = fid
+                d = succ[d]
+            verts = frozenset([edges[eid][side] for eid, side in walk])
+            eids = frozenset([eid for eid, _ in walk])
+            faces.append(Face(fid, tuple(walk), verts, eids))
+    for v, ring in zip(order, rings):
+        if not ring:
             faces.append(Face(len(faces), (), frozenset([v]), frozenset()))
 
     comps = graph.components()
@@ -250,20 +262,25 @@ def _trace_embedding(graph):
         for v in comp:
             component_of[v] = i
 
-    # Euler check per connected component certifies planarity of the rotation
-    for i, comp in enumerate(comps):
-        nv = len(comp)
-        ne = sum(1 for u, w in graph.edges.values() if u in comp)
-        nf = sum(1 for f in faces if f.vertices <= comp)
+    # one pass tallies each component's edges and faces (a face's vertices
+    # all lie in one component); then the Euler check per component
+    # certifies planarity of the rotation
+    comp_edges = [0] * len(comps)
+    for u, _ in edges.values():
+        comp_edges[component_of[u]] += 1
+    comp_faces = [[] for _ in comps]
+    for f in faces:
+        comp_faces[component_of[next(iter(f.vertices))]].append(f)
+    for comp, ne, cand in zip(comps, comp_edges, comp_faces):
+        nv, nf = len(comp), len(cand)
         if nv - ne + nf != 2:
             raise NonPlanarCertificate(
                 f"component {sorted(comp)[:6]}...: V-E+F = {nv}-{ne}+{nf} != 2"
             )
 
+    hint = graph.outer_hint
     outer_faces = {}
-    for i, comp in enumerate(comps):
-        cand = [f for f in faces if f.vertices <= comp]
-        hint = graph.outer_hint
+    for i, (comp, cand) in enumerate(zip(comps, comp_faces)):
         chosen = None
         if hint and hint <= comp:
             exact = [f for f in cand if f.vertices == hint]
@@ -420,12 +437,6 @@ class Disk:
     def __post_init__(self):
         self.vertices = self.cycle_verts | self.strict_vertices
         self.edges = self.cycle_edges | self.strict_edges
-
-    def contains_vertex(self, v):
-        return v in self.vertices
-
-    def contains_edge(self, eid):
-        return eid in self.edges
 
 
 def _region_disk(graph, emb, cycle_edges, region):

@@ -13,7 +13,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .cycles import is_isolated
 from .decomposition import IsolationBudget, isolation_threshold, reed_pipeline
 from .dp import solve_disjoint_paths, solve_m_cycle, solve_t_cycle
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     TCycleError,
     UnknownVertex,
 )
-from .graph import EmbeddedGraph
+from .graph import EmbeddedGraph, radial_bfs
 from .oracle import all_cycles, brute_minor
 from .treewidth import build, lca_closure, make_nice
 
@@ -889,11 +888,13 @@ def _linkage_irrelevant_sweep(graph, part, boundary, threshold):
     pg = part_graph(graph, part, boundary)
     gone = set()
     while True:
-        emb = pg.embedding()
+        # radial distance is symmetric: one BFS from the boundary decides
+        # isolation for every interior vertex
+        dist = radial_bfs(pg, sorted(boundary))
         far = {
             v
-            for v in sorted(pg.vertices - boundary)
-            if is_isolated(pg, boundary, v, threshold, emb)
+            for v in pg.vertices - boundary
+            if dist.get(v, threshold + 1) > threshold
         }
         if not far:
             return gone

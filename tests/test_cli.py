@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import tcycle
 from tcycle import fileio, generate
 from tcycle.cli import main
 from tcycle.errors import ParseError
@@ -175,3 +183,71 @@ def test_check_config_reports(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["depth"] == 2 and payload["convex"]
     assert len(payload["levels"]) == 3
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # as `tcycle solve ladder.txt | head -c 0`: the reader is gone before
+    # the witness is written
+    path = write_instance(
+        tmp_path / "ladder.txt", generate.grid(2, 2000, terminals={1, 2000, 2001, 4000})
+    )
+    no = write_instance(tmp_path / "path.txt", generate.path_graph(4, terminals={1, 4}))
+    src = str(Path(tcycle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, code in [(["solve", path], 0), (["solve", no], 1), (["td", no], 0)]:
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tcycle.cli", *argv],
+                stdout=w,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(w)
+        assert proc.stderr == b""
+        assert proc.returncode == code
+
+
+# records the parser knows, with small ids so that they collide; plus junk
+_ids = st.integers(min_value=0, max_value=5).map(str)
+_record = st.one_of(
+    st.tuples(st.just("v"), _ids),
+    st.tuples(st.just("t"), _ids),
+    st.tuples(st.just("e"), _ids, _ids, _ids),
+    st.tuples(st.just("rot"), st.lists(_ids, max_size=5).map(" ".join)),
+    st.tuples(st.just("outer"), st.lists(_ids, max_size=4).map(" ".join)),
+    st.tuples(st.sampled_from(["#", "q", "v", "e", "rot"]), st.text("ab1 -x", max_size=6)),
+).map(" ".join)
+_seeds = [
+    fileio.serialize(g).splitlines()
+    for g in (
+        generate.ring(3, terminals={1, 2}),
+        generate.path_graph(3, terminals={1, 3}),
+        generate.grid(2, 2, terminals={1, 4}),
+        generate.digon_tower(1)[0],
+    )
+]
+
+
+@st.composite
+def instance_texts(draw):
+    lines = list(draw(st.sampled_from(_seeds)))
+    for _ in range(draw(st.integers(0, 3))):
+        if lines and draw(st.booleans()):
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        else:
+            lines.insert(draw(st.integers(0, len(lines))), draw(_record))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance_texts())
+def test_solve_fuzzed_records_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["solve", path]) in (0, 1, 2)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tcycle import generate
+from tcycle.cycles import is_isolated
 from tcycle.decomposition import (
     IsolationBudget,
     PuncturedInstance,
@@ -20,7 +21,7 @@ from tcycle.errors import (
     InvalidConfiguration,
     UnknownVertex,
 )
-from tcycle.graph import EmbeddedGraph
+from tcycle.graph import EmbeddedGraph, radial_bfs
 from tcycle.oracle import brute_isolation, brute_t_cycle
 
 
@@ -236,3 +237,71 @@ def test_remover_and_pipeline_agree():
         assert (brute_t_cycle(a, T & a.vertices) is None) == (
             brute_t_cycle(b, T & b.vertices) is None
         )
+
+
+# -- one radial BFS against one is_isolated call per vertex ----------------
+
+
+def per_vertex_isolated(graph, sources, candidates, g):
+    """The isolation sweep as the pipeline ran it before: one radial BFS per
+    candidate vertex."""
+    emb = graph.embedding()
+    return {v for v in sorted(candidates) if is_isolated(graph, sources, v, g, emb)}
+
+
+def isolation_corpus():
+    rng = random.Random(31)
+    out = []
+    for seed in range(25):
+        g = generate.random_planar(10 + seed % 20, seed=seed + 700)
+        out.append((g, set(rng.sample(sorted(g.vertices), rng.randrange(1, 4)))))
+    for side in (5, 9, 13):
+        g = generate.grid(side, side)
+        out.append((g, set(rng.sample(sorted(g.vertices), 3))))
+    for depth in (3, 6, 9):
+        g = generate.nested_rings(depth)
+        rings = generate.ring_ids(depth)
+        out.append((g, {rings[0][0], rings[-1][1]}))
+    g = two_component_rings()
+    out.append((g, {1}))
+    out.append((g, {2, 5}))
+    return out
+
+
+def test_one_bfs_isolation_equals_per_vertex():
+    for graph, T in isolation_corpus():
+        dist = radial_bfs(graph, sorted(T))
+        for g in (1, 2, 3):
+            one = {v for v in graph.vertices if dist.get(v, g + 1) > g}
+            assert one == per_vertex_isolated(graph, T, graph.vertices, g)
+
+
+def test_pipeline_isolated_boundary_equals_per_vertex():
+    def case(side, cells):
+        g = generate.grid(side, side)
+        return g.with_terminals({r * side + c + 1 for r, c in cells})
+
+    cases = [
+        case(15, [(3, 3), (3, 11), (11, 7)]),
+        case(17, [(2, 2), (14, 14), (2, 14), (14, 2)]),
+        case(12, [(5, 1), (5, 10), (1, 5)]),
+    ]
+    for graph, T in isolation_corpus():
+        if len(T) >= 3:
+            cases.append(graph.with_terminals(T))
+    removed = 0
+    for graph in cases:
+        T = set(graph.terminals)
+        for g in (1, 2):
+            holding = [c for c in graph.components() if c & T]
+            if len(holding) != 1:
+                continue
+            inst = initial_punctures(graph.subgraph(holding[0]), T)
+            while inst.hole_count >= 3:
+                (inst,), _ = cut_reduction(inst)
+            want = per_vertex_isolated(graph, T, inst.boundary, g)
+            _, _, report = reed_pipeline(graph, budget=IsolationBudget(g))
+            got = {v for v, why, _ in report.removed if why == "isolated-boundary"}
+            assert got == want
+            removed += len(got)
+    assert removed > 0

@@ -1,3 +1,6 @@
+import random
+from collections import Counter, deque
+
 import pytest
 
 from tcycle import generate
@@ -7,10 +10,12 @@ from tcycle.errors import (
     NonPlanarCertificate,
     NotACycle,
     ParseError,
+    UnknownVertex,
 )
 from tcycle.fileio import parse, serialize
 from tcycle.graph import (
     EmbeddedGraph,
+    Face,
     cycle_vertices,
     disk_of_cycle,
     radial_bfs,
@@ -196,3 +201,285 @@ def test_subgraph_keeps_embedding():
     assert h.vertices == frozenset(keep)
     for e, (u, v) in h.edges.items():
         assert g.edges[e] == (u, v)
+
+
+# -- reference oracles ------------------------------------------------------
+# The face tracing, rotation check and component search that graph.py used
+# before the successor-map rewrite, kept verbatim as differential oracles.
+
+
+def ref_components(graph):
+    seen = set()
+    out = []
+    for s in sorted(graph.vertices):
+        if s in seen:
+            continue
+        comp = {s}
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in graph.neighbors(x):
+                if y not in comp:
+                    comp.add(y)
+                    queue.append(y)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def ref_validate(vertices, edges, rotation, terminals=()):
+    vertices = frozenset(vertices)
+    rotation = {v: tuple(r) for v, r in rotation.items() if r}
+    for eid, (u, v) in edges.items():
+        if u not in vertices or v not in vertices:
+            raise UnknownVertex(f"edge {eid} touches unknown vertex")
+    if not frozenset(terminals) <= vertices:
+        raise UnknownVertex("terminal is not a vertex")
+    want = {v: Counter() for v in vertices}
+    for eid, (u, v) in edges.items():
+        want[u][eid] += 1
+        want[v][eid] += 1
+    for v in vertices:
+        have = Counter(rotation.get(v, ()))
+        if have != want[v]:
+            raise MalformedRotation(
+                f"rotation at {v} lists {sorted(have.elements())}, "
+                f"incident edges are {sorted(want[v].elements())}"
+            )
+
+
+def ref_darts_at(graph):
+    out = {}
+    for v in graph.vertices:
+        darts = []
+        seen_loop = Counter()
+        for eid in graph.rotation.get(v, ()):
+            a, b = graph.edges[eid]
+            if a == b:
+                darts.append((eid, seen_loop[eid]))
+                seen_loop[eid] += 1
+            else:
+                darts.append((eid, 0 if a == v else 1))
+        out[v] = darts
+    return out
+
+
+def ref_dart_head(graph, dart):
+    eid, side = dart
+    a, b = graph.edges[eid]
+    return b if side == 0 else a
+
+
+def ref_trace(graph):
+    """(faces, face_of_dart, component_of, outer_faces) as the old tracer
+    computed them."""
+    darts_at = ref_darts_at(graph)
+    pos = {}
+    for v, darts in darts_at.items():
+        for i, d in enumerate(darts):
+            pos[d] = (v, i)
+
+    def next_face_dart(d):
+        w = ref_dart_head(graph, d)
+        rev = (d[0], 1 - d[1])
+        _, p = pos[rev]
+        ring = darts_at[w]
+        return ring[(p + 1) % len(ring)]
+
+    faces = []
+    face_of_dart = {}
+    for v in sorted(graph.vertices):
+        for start in darts_at[v]:
+            if start in face_of_dart:
+                continue
+            walk = []
+            d = start
+            while True:
+                walk.append(d)
+                face_of_dart[d] = len(faces)
+                d = next_face_dart(d)
+                if d == start:
+                    break
+            verts = frozenset(pos[d][0] for d in walk)
+            eids = frozenset(d[0] for d in walk)
+            faces.append(Face(len(faces), tuple(walk), verts, eids))
+    for v in sorted(graph.vertices):
+        if graph.degree(v) == 0:
+            faces.append(Face(len(faces), (), frozenset([v]), frozenset()))
+
+    comps = ref_components(graph)
+    component_of = {}
+    for i, comp in enumerate(comps):
+        for v in comp:
+            component_of[v] = i
+
+    for i, comp in enumerate(comps):
+        nv = len(comp)
+        ne = sum(1 for u, w in graph.edges.values() if u in comp)
+        nf = sum(1 for f in faces if f.vertices <= comp)
+        if nv - ne + nf != 2:
+            raise NonPlanarCertificate(
+                f"component {sorted(comp)[:6]}...: V-E+F = {nv}-{ne}+{nf} != 2"
+            )
+
+    outer_faces = {}
+    for i, comp in enumerate(comps):
+        cand = [f for f in faces if f.vertices <= comp]
+        hint = graph.outer_hint
+        chosen = None
+        if hint and hint <= comp:
+            exact = [f for f in cand if f.vertices == hint]
+            if len(exact) == 1:
+                chosen = exact[0]
+        if chosen is None:
+            chosen = min(cand, key=lambda f: tuple(sorted(f.vertices)))
+        outer_faces[i] = chosen.id
+    return faces, face_of_dart, component_of, outer_faces
+
+
+# -- differential corpus -----------------------------------------------------
+
+
+def decorate(g, rng):
+    """g plus loops, parallel edges, isolated vertices and a relabelled copy
+    of a subgraph as further components.  A loop's two ends are adjacent in
+    its rotation and a parallel edge hugs its twin, so a planar g stays
+    planar."""
+    edges = dict(g.edges)
+    rot = {v: list(r) for v, r in g.rotation.items()}
+    nxt = max(edges, default=0) + 1
+    verts = sorted(g.vertices)
+    for _ in range(rng.randrange(4)):
+        v = rng.choice(verts)
+        r = rot.setdefault(v, [])
+        i = rng.randrange(len(r) + 1)
+        r[i:i] = [nxt, nxt]
+        edges[nxt] = (v, v)
+        nxt += 1
+    for eid in rng.sample(sorted(g.edges), min(3, len(g.edges))):
+        u, v = edges[eid]
+        ru, rv = rot[u], rot[v]
+        ru.insert(ru.index(eid) + 1, nxt)
+        rv.insert(rv.index(eid), nxt)
+        edges[nxt] = (u, v)
+        nxt += 1
+    vertices = set(g.vertices)
+    top = max(vertices)
+    for i in range(rng.randrange(3)):
+        vertices.add(top + 1 + i)
+    part = g.subgraph(verts[: max(1, len(verts) // 3)])
+    shift = top + 10
+    vertices |= {v + shift for v in part.vertices}
+    for eid, (u, v) in part.edges.items():
+        edges[eid + nxt] = (u + shift, v + shift)
+    for v, r in part.rotation.items():
+        rot[v + shift] = [e + nxt for e in r]
+    return EmbeddedGraph(vertices, edges, rot, g.terminals, g.outer_hint)
+
+
+def corpus():
+    rng = random.Random(2024)
+    out = []
+    for seed in range(40):
+        g = generate.random_planar(6 + seed % 25, seed=seed, k=2)
+        out.append(g)
+        out.append(decorate(g, rng))
+        keep = [v for v in sorted(g.vertices) if rng.random() < 0.6]
+        if keep:
+            out.append(g.subgraph(keep))
+    for rows, cols in [(1, 1), (1, 5), (2, 2), (3, 4), (4, 7), (6, 6)]:
+        g = generate.grid(rows, cols)
+        out.append(g)
+        out.append(decorate(g, rng))
+    for depth in range(1, 6):
+        g = generate.nested_rings(depth, ring_size=3 + depth % 3)
+        out.append(g)
+        out.append(decorate(g, rng))
+        out.append(generate.digon_tower(depth)[0])
+    out.append(EmbeddedGraph({1}, {1: (1, 1)}, {1: (1, 1)}))
+    out.append(EmbeddedGraph({1, 2, 3}, {}, {}))
+    return out
+
+
+def test_trace_matches_reference_oracle():
+    graphs = corpus()
+    assert len(graphs) >= 140
+    for g in graphs:
+        faces, face_of_dart, component_of, outer_faces = ref_trace(g)
+        emb = g.embedding()
+        assert emb.faces == faces
+        assert emb.face_of_dart == face_of_dart
+        assert emb.component_of == component_of
+        assert emb.outer_faces == outer_faces
+        assert g.components() == ref_components(g)
+
+
+def test_trace_rejects_shuffled_rotations_like_reference():
+    rng = random.Random(7)
+    rejected = 0
+    for seed in range(40):
+        g = generate.random_planar(8 + seed % 10, seed=seed)
+        rot = {v: rng.sample(r, len(r)) for v, r in g.rotation.items()}
+        h = EmbeddedGraph(g.vertices, g.edges, rot)
+        try:
+            want = ref_trace(h)
+        except NonPlanarCertificate as exc:
+            rejected += 1
+            with pytest.raises(NonPlanarCertificate) as got:
+                h.embedding()
+            assert str(got.value) == str(exc)
+        else:
+            assert h.embedding().faces == want[0]
+    assert rejected >= 20
+
+
+def malformed_cases():
+    rng = random.Random(11)
+    cases = [
+        ({1, 2}, {1: (1, 2)}, {1: (1,), 2: ()}, ()),
+        ({1, 2}, {1: (1, 2)}, {1: (1,), 2: (1, 1)}, ()),
+        ({1}, {1: (1, 1)}, {1: (1,)}, ()),
+        ({1, 2}, {1: (1, 3)}, {1: (1,)}, ()),
+        ({1, 2}, {1: (1, 2)}, {1: (1,), 2: (1,)}, (5,)),
+        ({1, 2}, {1: (1, 2)}, {1: (1,), 2: (1,), 9: (4,)}, ()),
+    ]
+    for seed in range(30):
+        g = generate.random_planar(6 + seed % 8, seed=seed)
+        rot = {v: list(r) for v, r in g.rotation.items()}
+        v = rng.choice(sorted(rot))
+        how = seed % 4
+        if how == 0:
+            rot[v].pop(rng.randrange(len(rot[v])))
+        elif how == 1:
+            rot[v].append(rng.choice(rot[v]))
+        elif how == 2:
+            w = rng.choice(sorted(rot))
+            rot[w].append(rot[v].pop())
+        else:
+            rot[v].append(max(g.edges) + 1)
+        cases.append((set(g.vertices), dict(g.edges), rot, ()))
+    return cases
+
+
+def test_malformed_rotations_raise_like_reference():
+    for vertices, edges, rot, terms in malformed_cases():
+        try:
+            ref_validate(vertices, edges, rot, terms)
+        except (MalformedRotation, UnknownVertex) as exc:
+            with pytest.raises(type(exc)) as got:
+                EmbeddedGraph(vertices, edges, rot, terms)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            EmbeddedGraph(vertices, edges, rot, terms)
+
+
+def test_subgraph_on_every_vertex_is_self():
+    g = generate.random_planar(12, seed=4, k=2)
+    emb = g.embedding()
+    assert g.subgraph(g.vertices) is g
+    assert g.subgraph(list(g.vertices)) is g
+    assert g.without_vertices(()) is g
+    assert g.subgraph(g.vertices).embedding() is emb
+    h = g.subgraph(sorted(g.vertices)[1:])
+    assert h is not g and h.vertices < g.vertices

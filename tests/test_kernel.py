@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tcycle import generate
+from tcycle.cycles import is_isolated
 from tcycle.dp import solve_t_cycle
 from tcycle.errors import (
     BoundaryTooLarge,
@@ -12,6 +13,7 @@ from tcycle.errors import (
     SpliceError,
 )
 from tcycle.kernel import (
+    _linkage_irrelevant_sweep,
     all_matchings,
     contraction_replacement,
     kernelize,
@@ -250,3 +252,47 @@ def test_kernelize_shrinks_long_appendage():
     assert (solve_t_cycle(k, k.terminals) is None) == (
         solve_t_cycle(g, {2, 5}) is None
     )
+
+
+def ref_linkage_sweep(graph, part, boundary, threshold):
+    """The sweep as it ran before: one is_isolated call per interior vertex
+    and round."""
+    pg = part_graph(graph, part, boundary)
+    gone = set()
+    while True:
+        emb = pg.embedding()
+        far = {
+            v
+            for v in sorted(pg.vertices - boundary)
+            if is_isolated(pg, boundary, v, threshold, emb)
+        }
+        if not far:
+            return gone
+        gone |= far
+        pg = pg.without_vertices(far)
+
+
+def test_linkage_sweep_equals_per_vertex_reference():
+    rng = random.Random(17)
+    cases = []
+    for seed in range(20):
+        g = generate.random_planar(10 + seed % 15, seed=seed + 300)
+        verts = sorted(g.vertices)
+        boundary = frozenset(rng.sample(verts, rng.randrange(1, 4)))
+        part = frozenset(v for v in verts if v not in boundary and rng.random() < 0.8)
+        cases.append((g, part, boundary))
+    for side in (6, 10):
+        g = generate.grid(side, side)
+        boundary = frozenset(range(1, side + 1))
+        cases.append((g, g.vertices - boundary, boundary))
+    depth = 7
+    g = generate.nested_rings(depth)
+    boundary = frozenset(generate.ring_ids(depth)[-1])
+    cases.append((g, g.vertices - boundary, boundary))
+    swept = 0
+    for g, part, boundary in cases:
+        for threshold in (1, 2, 3):
+            got = _linkage_irrelevant_sweep(g, part, boundary, threshold)
+            assert got == ref_linkage_sweep(g, part, boundary, threshold)
+            swept += len(got)
+    assert swept > 0
