@@ -15,7 +15,7 @@ from . import fileio, generate
 from .cycles import CLConfiguration, ConcentricSequence, loop_cost
 from .decomposition import IsolationBudget, reed_pipeline
 from .dp import solve_t_cycle
-from .errors import TCycleError
+from .errors import InvalidConfiguration, TCycleError
 from .kernel import kernelize
 from .oracle import brute_disjoint_paths, brute_isolation, brute_t_cycle
 from .treewidth import build, from_pace_lines, pace_lines
@@ -137,6 +137,8 @@ def cmd_oracle(args):
         return _verdict(True, " ".join(str(e) for e in sorted(loop)))
     if args.oracle_cmd == "disjoint-paths":
         ends = args.endpoints
+        if len(ends) % 2:
+            raise InvalidConfiguration(f"{len(ends)} endpoints do not form pairs")
         pairs = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
         return _verdict(brute_disjoint_paths(g, pairs) is not None)
     # isolation

@@ -11,12 +11,30 @@ T-Cycle witnesses are backpointers, not edge sets: None at a leaf,
 ("e", eid, prev) where an edge step took eid, and ("j", wa, wb) at a join.
 States share their history this way, and the edge set of the one state
 that answers is rebuilt once at the root.
+
+Both joins group each child table by degree vector.  Per group, two
+bitmasks mark the bag positions of nonzero degree and of degree at
+capacity; two groups can be combined iff neither one's full positions
+meet the other's nonzero ones, and the summed degrees are formed once per
+compatible pair of groups rather than per pair of states.  Within a pair
+of groups the open paths of the two states are spliced by `_merge`, a
+walk over a mate map of path ends, and each join keeps the merge of every
+distinct pair of pairings it meets for the length of that one join.
+
+At the end of a run each DP logs one DEBUG line to the "tcycle.dp"
+logger: nodes, joins, the peak table size and the number of distinct
+merges.
 """
+
+import logging
+from operator import add
 
 from .errors import InvalidConfiguration, TCycleError
 from .graph import EmbeddedGraph
 from .oracle import check_matching, is_t_loop
 from .treewidth import NiceTreeDecomposition, TreeDecomposition, build, make_nice
+
+_log = logging.getLogger("tcycle.dp")
 
 
 def _prepare(graph, td):
@@ -45,41 +63,62 @@ def _prepare(graph, td):
     return td, assign
 
 
-def _components(pair_edges):
-    """Split a union of endpoint pairs (a degree <= 2 multigraph) into
-    components; returns (paths, cycle_count) with paths as (end, end)."""
-    adj = {}
-    for k, (a, b) in enumerate(pair_edges):
-        adj.setdefault(a, []).append((k, b))
-        adj.setdefault(b, []).append((k, a))
-    seen = set()
-    paths = []
+def _merge(pa, pb):
+    """Splice two sets of open paths, each given as a set of end pairs in
+    which no end occurs twice; an end occurring in both sets is where two
+    paths meet.  Returns (end pairs of the spliced paths, number of cycles
+    closed), the pairs as a frozenset of frozensets."""
+    mate = {}
+    for x, y in pa:
+        mate[x] = y
+        mate[y] = x
     cycles = 0
-    # walk open paths starting from their degree-one endpoints
-    for start in sorted(adj, key=repr):
-        if len(adj[start]) != 1 or adj[start][0][0] in seen:
-            continue
-        cur = start
-        while True:
-            step = [(k, w) for k, w in adj[cur] if k not in seen]
-            if not step:
-                break
-            k, w = step[0]
-            seen.add(k)
-            cur = w
-        paths.append((start, cur))
-    # whatever is left closes on itself
-    for k, (a, b) in enumerate(pair_edges):
-        if k in seen:
-            continue
-        cycles += 1
-        seen.add(k)
-        cur = b
-        while cur != a:
-            k2, w = next((x, y) for x, y in adj[cur] if x not in seen)
-            seen.add(k2)
-            cur = w
-    return paths, cycles
+    for x, y in pb:
+        # the far end of the path that x (y) ends, or x (y) itself
+        fx = mate.pop(x, x)
+        fy = mate.pop(y, y)
+        if fx == y:  # x and y end the same path, which now closes
+            cycles += 1
+        else:
+            mate[fx] = fy
+            mate[fy] = fx
+    pairs = []
+    while mate:
+        x, y = mate.popitem()
+        del mate[y]
+        pairs.append(frozenset((x, y)))
+    return frozenset(pairs), cycles
+
+
+def _compatible_groups(table_a, table_b, caps):
+    """Pair up the degree-vector groups of two child tables whose summed
+    degrees stay within caps; yields (summed degrees, states of a, states
+    of b).  A state is a tuple whose first field is its degree vector, and
+    no degree in either table exceeds its cap."""
+    groups_b = _degree_groups(table_b, caps)
+    for da, nz_a, full_a, states_a in _degree_groups(table_a, caps):
+        for db, nz_b, full_b, states_b in groups_b:
+            if full_a & nz_b or full_b & nz_a:
+                continue
+            yield tuple(map(add, da, db)), states_a, states_b
+
+
+def _degree_groups(table, caps):
+    """(degree vector, mask of nonzero positions, mask of positions at
+    capacity, the states with that vector) per degree vector in table."""
+    states = {}
+    for state in table:
+        states.setdefault(state[0], []).append(state)
+    groups = []
+    for degs, group in states.items():
+        nz = full = 0
+        for i, (d, cap) in enumerate(zip(degs, caps)):
+            if d:
+                nz |= 1 << i
+                if d == cap:
+                    full |= 1 << i
+        groups.append((degs, nz, full, group))
+    return groups
 
 
 class _TCycleDP:
@@ -91,9 +130,11 @@ class _TCycleDP:
         self.T = frozenset(terminals)
         self.td = td
         self.assign = assign
+        self.merges = 0  # distinct pairs of pairings merged, over all joins
 
     def run(self):
         tables = {}
+        joins = peak = 0
         for node in self.td.postorder():
             kind = self.td.kind[node]
             bag = tuple(sorted(self.td.bags[node]))
@@ -105,11 +146,17 @@ class _TCycleDP:
                 table = self._forget(tables, node, bag)
             else:
                 table = self._join(tables, node, bag)
+                joins += 1
             for c in self.td.children[node]:
                 del tables[c]
             for eid in self.assign[node]:
                 table = self._edge(table, bag, eid)
             tables[node] = table
+            peak = max(peak, len(table))
+        _log.debug(
+            "t-cycle: %d nodes, %d joins, peak table %d, %d distinct merges",
+            len(self.td.bags), joins, peak, self.merges,
+        )
         root = tables[self.td.root]
         key = ((), frozenset(), True)
         if key not in root:
@@ -156,25 +203,29 @@ class _TCycleDP:
 
     def _join(self, tables, node, bag):
         a, b = self.td.children[node]
+        ta, tb = tables[a], tables[b]
         out = {}
-        for (da, pa, ca), wa in tables[a].items():
-            for (db, pb, cb), wb in tables[b].items():
-                if ca and cb:
-                    continue
-                degs = tuple(x + y for x, y in zip(da, db))
-                if any(d > 2 for d in degs):
-                    continue
-                paths, cycles = _components(
-                    [tuple(sorted(p)) for p in pa] + [tuple(sorted(p)) for p in pb]
-                )
-                if cycles > 1 or (cycles and (ca or cb)):
-                    continue
-                closed = ca or cb or cycles == 1
-                pairs = frozenset(frozenset(p) for p in paths)
-                if closed and pairs:
-                    continue
-                key = (degs, pairs, closed)
-                out.setdefault(key, ("j", wa, wb))
+        merged = {}
+        for degs, states_a, states_b in _compatible_groups(ta, tb, (2,) * len(bag)):
+            for ka in states_a:
+                _, pa, ca = ka
+                for kb in states_b:
+                    _, pb, cb = kb
+                    if ca and cb:
+                        continue
+                    m = merged.get((pa, pb))
+                    if m is None:
+                        m = merged[pa, pb] = _merge(pa, pb)
+                    pairs, cycles = m
+                    if cycles > 1 or (cycles and (ca or cb)):
+                        continue
+                    closed = ca or cb or cycles == 1
+                    if closed and pairs:
+                        continue
+                    key = (degs, pairs, closed)
+                    if key not in out:
+                        out[key] = ("j", ta[ka], tb[kb])
+        self.merges += len(merged)
         return out
 
     def _edge(self, table, bag, eid):
@@ -240,12 +291,14 @@ class _LinkageDP:
         self.matched = frozenset(v for p in pairs for v in p)
         self.td = td
         self.assign = assign
+        self.merges = 0  # distinct pairs of fragment sets merged, over all joins
 
     def cap(self, v):
         return 1 if v in self.matched else 2
 
     def run(self):
         tables = {}
+        joins = peak = 0
         for node in self.td.postorder():
             kind = self.td.kind[node]
             bag = tuple(sorted(self.td.bags[node]))
@@ -257,11 +310,17 @@ class _LinkageDP:
                 table = self._forget(tables, node, bag)
             else:
                 table = self._join(tables, node, bag)
+                joins += 1
             for c in self.td.children[node]:
                 del tables[c]
             for eid in self.assign[node]:
                 table = self._edge(table, bag, eid)
             tables[node] = table
+            peak = max(peak, len(table))
+        _log.debug(
+            "linkage: %d nodes, %d joins, peak table %d, %d distinct merges",
+            len(self.td.bags), joins, peak, self.merges,
+        )
         return ((), frozenset(), self.pairs) in tables[self.td.root]
 
     def _introduce(self, tables, node, bag):
@@ -304,35 +363,38 @@ class _LinkageDP:
     def _join(self, tables, node, bag):
         a, b = self.td.children[node]
         out = set()
-        for da, fa, za in tables[a]:
-            for db, fb, zb in tables[b]:
-                degs = tuple(x + y for x, y in zip(da, db))
-                if any(d > self.cap(v) for d, v in zip(degs, bag)):
-                    continue
-                paths, cycles = _components(
-                    [tuple(sorted(f, key=repr)) for f in fa]
-                    + [tuple(sorted(f, key=repr)) for f in fb]
-                )
-                if cycles:
-                    continue
-                done = set(za | zb)
-                frags = set()
-                ok = True
-                for x, y in paths:
-                    if x == y:
-                        ok = False
-                        break
-                    if x[0] == "a" and y[0] == "a":
-                        pair = frozenset({x[1], y[1]})
-                        if pair not in self.pairs:
-                            ok = False
-                            break
-                        done.add(pair)
-                    else:
-                        frags.add(frozenset({x, y}))
-                if ok:
-                    out.add((degs, frozenset(frags), frozenset(done)))
+        merged = {}
+        caps = tuple(self.cap(v) for v in bag)
+        for degs, states_a, states_b in _compatible_groups(tables[a], tables[b], caps):
+            for _, fa, za in states_a:
+                for _, fb, zb in states_b:
+                    m = merged.get((fa, fb), False)
+                    if m is False:
+                        m = merged[fa, fb] = self._seal(*_merge(fa, fb))
+                    if m is not None:
+                        frags, done = m
+                        out.add((degs, frags, za | zb | done))
+        self.merges += len(merged)
         return out
+
+    def _seal(self, paths, cycles):
+        """Split spliced paths into open fragments and completed pairs, or
+        None when they close a cycle or join two matched vertices that are
+        not a pair."""
+        if cycles:
+            return None
+        frags = []
+        done = []
+        for path in paths:
+            x, y = path
+            if x[0] == "a" and y[0] == "a":
+                pair = frozenset({x[1], y[1]})
+                if pair not in self.pairs:
+                    return None
+                done.append(pair)
+            else:
+                frags.append(path)
+        return frozenset(frags), frozenset(done)
 
     def _edge(self, table, bag, eid):
         u, v = self.g.edges[eid]

@@ -8,7 +8,7 @@ from a planarity test's combinatorial embedding.
 import math
 import random
 
-from .errors import TCycleError
+from .errors import InvalidConfiguration, TCycleError
 from .graph import EmbeddedGraph
 
 
@@ -97,6 +97,8 @@ def grid(rows, cols, terminals=()):
 
 def grid_with_terminals(rows, cols, k, seed=0):
     """Grid with k terminals spread along the outer face boundary."""
+    if rows < 1 or cols < 1:
+        raise InvalidConfiguration(f"a {rows}x{cols} grid has no vertices")
     g = grid(rows, cols)
     # walk the boundary in order and take k evenly spaced vertices,
     # rotated by the seed for variety
@@ -109,6 +111,10 @@ def grid_with_terminals(rows, cols, k, seed=0):
         walk.append((rows - 1) * cols + c + 1)
     for r in range(rows - 2, 0, -1):
         walk.append(r * cols + 1)
+    if not 1 <= k <= len(set(walk)):
+        raise InvalidConfiguration(
+            f"k={k} terminals, but the boundary has {len(set(walk))} vertices"
+        )
     rng = random.Random(seed)
     off = rng.randrange(len(walk))
     step = len(walk) / k
@@ -124,6 +130,8 @@ def nested_rings(num_rings, ring_size=3, spoke_every=1, terminals=()):
     Ring 0 is innermost; ring i vertex j has id i*ring_size + j + 1.
     The outer face is the outermost ring.
     """
+    if num_rings < 1 or ring_size < 1:
+        raise InvalidConfiguration(f"no {num_rings} rings of {ring_size} vertices")
     points = {}
     edges = {}
     eid = 1
@@ -175,6 +183,8 @@ def ring_gadget(depth, ring_size=3, offset=0, spoke_every=1, stilts=False):
     T-loop must spend the terminal's two pendant edges (plus the stilts), so
     the cheap loops run along the outer ring.
     """
+    if depth < 0 or ring_size < 1:
+        raise InvalidConfiguration(f"no gadget of depth {depth} on rings of {ring_size}")
     num = depth + 1
     points = {}
     edges = {}
@@ -398,6 +408,10 @@ def random_planar(n, seed, drop=0.3, k=0):
     """
     from scipy.spatial import Delaunay
 
+    if n < 3:
+        raise InvalidConfiguration(f"a triangulation needs 3 points, not {n}")
+    if not 0 <= k <= n:
+        raise InvalidConfiguration(f"k={k} terminals among {n} vertices")
     rng = random.Random(seed)
     while True:
         pts = [(rng.random(), rng.random()) for _ in range(n)]

@@ -114,6 +114,49 @@ def test_oracle_subcommands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_odd_endpoint_count_is_exit_2(tmp_path, capsys):
+    path = write_instance(tmp_path / "p.txt", generate.path_graph(4, terminals={1, 4}))
+    assert main(["oracle", "disjoint-paths", path, "1", "2", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _cli_env():
+    src = str(Path(tcycle.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["random-planar", "--n", "0"],
+        ["random-planar", "--n", "1"],
+        ["random-planar", "--n", "2"],
+        ["random-planar", "--n", "-4"],
+        ["random-planar", "--n", "5", "--k", "9"],
+        ["random-planar", "--n", "5", "--k", "-1"],
+        ["grid-with-terminals", "--rows", "2", "--cols", "2", "--k", "5"],
+        ["grid-with-terminals", "--rows", "0", "--cols", "3", "--k", "1"],
+        ["grid-with-terminals", "--rows", "3", "--cols", "3", "--k", "0"],
+        ["nested-rings", "--depth", "0"],
+        ["nested-rings", "--ring-size", "0"],
+        ["concentric-gadget", "--depth", "-1"],
+        ["concentric-gadget", "--ring-size", "0"],
+    ],
+)
+def test_gen_impossible_sizes_are_exit_2(args):
+    # these used to loop forever, end in a traceback or write an empty instance
+    proc = subprocess.run(
+        [sys.executable, "-m", "tcycle.cli", "gen", *args],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
 def test_gen_deterministic_and_parseable(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -192,8 +235,7 @@ def test_closed_stdout_is_not_an_error(tmp_path):
         tmp_path / "ladder.txt", generate.grid(2, 2000, terminals={1, 2000, 2001, 4000})
     )
     no = write_instance(tmp_path / "path.txt", generate.path_graph(4, terminals={1, 4}))
-    src = str(Path(tcycle.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _cli_env()
     for argv, code in [(["solve", path], 0), (["solve", no], 1), (["td", no], 0)]:
         r, w = os.pipe()
         os.close(r)
@@ -251,3 +293,75 @@ def test_solve_fuzzed_records_end_in_an_exit_code(text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         assert main(["solve", path]) in (0, 1, 2)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance_texts())
+def test_td_and_reduce_fuzzed_records_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["td", path]) in (0, 1, 2)
+        assert main(["reduce", path, os.path.join(tmp, "out.txt")]) in (0, 1, 2)
+
+
+def _config_seed_texts():
+    g, rings = generate.digon_tower(2)
+    text = fileio.serialize(g)
+    for c in generate.ring_cycles(g, rings)[:2]:
+        text += "cycle " + " ".join(map(str, sorted(c))) + "\n"
+    # the terminal 7, its two spokes and one edge of the top digon
+    loop = [e for e, (u, v) in g.edges.items() if {u, v} in ({5, 6}, {5, 7}, {6, 7})]
+    yield text + "loop " + " ".join(map(str, sorted(loop[1:]))) + "\n"
+    g = generate.ring_gadget(2)
+    rings = generate.ring_ids(3)
+    t = max(g.vertices)
+    outer = rings[2]
+    pend = [e for e, (u, v) in g.edges.items() if t in (u, v)]
+    arc = [e for e, (u, v) in g.edges.items() if u in outer and v in outer]
+    drop = [e for e in arc if set(g.edges[e]) == {outer[0], outer[1]}]
+    text = fileio.serialize(g)
+    for c in generate.ring_cycles(g, rings[:2]):
+        text += "cycle " + " ".join(map(str, sorted(c))) + "\n"
+    yield text + "loop " + " ".join(map(str, sorted((set(arc) - set(drop)) | set(pend)))) + "\n"
+
+
+_config_seeds = [t.splitlines() for t in _config_seed_texts()]
+_edge_ids = st.lists(st.integers(min_value=-1, max_value=30).map(str), max_size=8)
+
+
+@st.composite
+def config_texts(draw):
+    """A valid cycles-and-loop file with its cycle and loop records
+    dropped, added, reordered or given other edge ids."""
+    lines = list(draw(st.sampled_from(_config_seeds)))
+    for _ in range(draw(st.integers(1, 3))):
+        records = [i for i, line in enumerate(lines) if line.split()[:1] in (["cycle"], ["loop"])]
+        action = draw(st.sampled_from(["drop", "add", "edit", "swap"]))
+        if action == "drop" and records:
+            del lines[draw(st.sampled_from(records))]
+        elif action == "edit" and records:
+            i = draw(st.sampled_from(records))
+            ids = lines[i].split()[1:]
+            if ids and draw(st.booleans()):
+                del ids[draw(st.integers(0, len(ids) - 1))]
+            ids += draw(_edge_ids)[:2]
+            lines[i] = " ".join([lines[i].split()[0]] + ids)
+        elif action == "swap" and len(records) > 1:
+            i, j = draw(st.permutations(records))[:2]
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            word = draw(st.sampled_from(["cycle", "loop"]))
+            lines.append(" ".join([word] + draw(_edge_ids)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(config_texts())
+def test_check_config_fuzzed_records_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "conf.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["check-config", path]) in (0, 1, 2)

@@ -1,7 +1,10 @@
 import itertools
+import logging
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcycle import dp, generate
 from tcycle.dp import (
@@ -211,3 +214,194 @@ def test_bad_witness_raises(monkeypatch):
     g = generate.grid(3, 4, terminals={1, 12})
     with pytest.raises(TCycleError):
         solve_t_cycle(g)
+
+
+# -- the join before degree-vector grouping, kept as the reference ----------
+
+
+def reference_components(pair_edges):
+    """Split a union of endpoint pairs (a degree <= 2 multigraph) into
+    components; returns (paths, cycle_count) with paths as (end, end)."""
+    adj = {}
+    for k, (a, b) in enumerate(pair_edges):
+        adj.setdefault(a, []).append((k, b))
+        adj.setdefault(b, []).append((k, a))
+    seen = set()
+    paths = []
+    cycles = 0
+    # walk open paths starting from their degree-one endpoints
+    for start in sorted(adj, key=repr):
+        if len(adj[start]) != 1 or adj[start][0][0] in seen:
+            continue
+        cur = start
+        while True:
+            step = [(k, w) for k, w in adj[cur] if k not in seen]
+            if not step:
+                break
+            k, w = step[0]
+            seen.add(k)
+            cur = w
+        paths.append((start, cur))
+    # whatever is left closes on itself
+    for k, (a, b) in enumerate(pair_edges):
+        if k in seen:
+            continue
+        cycles += 1
+        seen.add(k)
+        cur = b
+        while cur != a:
+            k2, w = next((x, y) for x, y in adj[cur] if x not in seen)
+            seen.add(k2)
+            cur = w
+    return paths, cycles
+
+
+def reference_t_cycle_join(self, tables, node, bag):
+    a, b = self.td.children[node]
+    out = {}
+    for (da, pa, ca), wa in tables[a].items():
+        for (db, pb, cb), wb in tables[b].items():
+            if ca and cb:
+                continue
+            degs = tuple(x + y for x, y in zip(da, db))
+            if any(d > 2 for d in degs):
+                continue
+            paths, cycles = reference_components(
+                [tuple(sorted(p)) for p in pa] + [tuple(sorted(p)) for p in pb]
+            )
+            if cycles > 1 or (cycles and (ca or cb)):
+                continue
+            closed = ca or cb or cycles == 1
+            pairs = frozenset(frozenset(p) for p in paths)
+            if closed and pairs:
+                continue
+            key = (degs, pairs, closed)
+            out.setdefault(key, ("j", wa, wb))
+    return out
+
+
+def reference_linkage_join(self, tables, node, bag):
+    a, b = self.td.children[node]
+    out = set()
+    for da, fa, za in tables[a]:
+        for db, fb, zb in tables[b]:
+            degs = tuple(x + y for x, y in zip(da, db))
+            if any(d > self.cap(v) for d, v in zip(degs, bag)):
+                continue
+            paths, cycles = reference_components(
+                [tuple(sorted(f, key=repr)) for f in fa]
+                + [tuple(sorted(f, key=repr)) for f in fb]
+            )
+            if cycles:
+                continue
+            done = set(za | zb)
+            frags = set()
+            ok = True
+            for x, y in paths:
+                if x == y:
+                    ok = False
+                    break
+                if x[0] == "a" and y[0] == "a":
+                    pair = frozenset({x[1], y[1]})
+                    if pair not in self.pairs:
+                        ok = False
+                        break
+                    done.add(pair)
+                else:
+                    frags.add(frozenset({x, y}))
+            if ok:
+                out.add((degs, frozenset(frags), frozenset(done)))
+    return out
+
+
+def checked(dp_class, reference):
+    """dp_class whose every join asserts that its key set is the
+    reference join's; counts the joins and the states they produced."""
+
+    class Checked(dp_class):
+        joins = 0
+        states = 0
+
+        def _join(self, tables, node, bag):
+            got = super()._join(tables, node, bag)
+            want = reference(self, tables, node, bag)
+            assert set(got) == set(want), (node, bag)
+            Checked.joins += 1
+            Checked.states += len(want)
+            return got
+
+    return Checked
+
+
+def join_instances():
+    """(graph, terminals, matching) on random planar graphs, grids and ring
+    towers."""
+    rng = random.Random(4242)
+    for seed in range(84):
+        g = generate.random_planar(rng.randrange(10, 31), seed=seed + 9000)
+        vs = sorted(g.vertices)
+        T = rng.sample(vs, rng.randrange(1, 6))
+        ends = rng.sample(vs, 2 * rng.randrange(1, 4))
+        yield g, T, list(zip(ends[::2], ends[1::2]))
+    for rows, cols in ((3, 3), (3, 5), (4, 4), (4, 6), (5, 5)):
+        g = generate.grid(rows, cols)
+        n = rows * cols
+        yield g, [1, cols, n], [(1, n), (cols, n - cols + 1)]
+        yield g, [2, n - 1], [(1, n - 1), (2, n)]
+    for rings, size in ((3, 3), (4, 4), (5, 3), (3, 6)):
+        g = generate.nested_rings(rings, ring_size=size)
+        ids = generate.ring_ids(rings, ring_size=size)
+        yield g, [ids[0][0], ids[-1][1]], [(ids[0][0], ids[-1][0]), (ids[0][1], ids[-1][-1])]
+        yield g, ids[-1], [(ids[0][0], ids[-1][1])]
+
+
+def test_join_key_sets_match_the_reference():
+    tdp = checked(dp._TCycleDP, reference_t_cycle_join)
+    ldp = checked(dp._LinkageDP, reference_linkage_join)
+    graphs = 0
+    for g, T, M in join_instances():
+        td, assign = _prepare(g, None)
+        wit = tdp(g, frozenset(T), td, assign).run()
+        if wit is not None:
+            assert is_t_loop(g, set(T), sorted(wit))
+        pairs = dp.check_matching(g, M)
+        ldp(g, pairs, td, assign).run()
+        graphs += 1
+    assert graphs >= 100
+    # the same decompositions, so both DPs meet the same join nodes
+    assert tdp.joins == ldp.joins > 500
+    assert tdp.states > 20 * tdp.joins and ldp.states > 20 * ldp.joins
+
+
+def _pairing(vertices):
+    return st.lists(st.sampled_from(vertices), unique=True, max_size=len(vertices)).map(
+        lambda vs: [tuple(vs[i : i + 2]) for i in range(0, len(vs) - 1, 2)]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairing(range(8)), _pairing(range(8)))
+def test_merge_matches_reference_components(pa, pb):
+    # two pairings of at most eight ends: their union has degree <= 2
+    pairs, cycles = dp._merge(frozenset(map(frozenset, pa)), frozenset(map(frozenset, pb)))
+    paths, want = reference_components(pa + pb)
+    assert cycles == want
+    assert pairs == frozenset(frozenset(p) for p in paths)
+
+
+def test_each_dp_logs_one_debug_line(caplog):
+    g = generate.random_planar(16, seed=3)
+    td, _ = _prepare(g, None)
+    joins = sum(td.kind[n] == "join" for n in td.bags)
+    assert joins > 0
+    caplog.set_level(logging.DEBUG, logger="tcycle.dp")
+    vs = sorted(g.vertices)
+    solve_t_cycle(g, set(vs[:3]), td)
+    solve_disjoint_paths(g, [(vs[0], vs[-1])], td)
+    lines = [r for r in caplog.records if r.name == "tcycle.dp"]
+    assert [r.levelname for r in lines] == ["DEBUG", "DEBUG"]
+    for r, name in zip(lines, ("t-cycle", "linkage")):
+        nodes, njoins, peak, merges = r.args
+        assert r.getMessage().startswith(name)
+        assert (nodes, njoins) == (len(td.bags), joins)
+        assert peak >= 1 and merges >= 1
