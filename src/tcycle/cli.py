@@ -22,7 +22,11 @@ from .treewidth import build, from_pace_lines, pace_lines
 
 
 def _default_seed():
-    return int(os.environ.get("TCYCLE_SEED", "0"))
+    text = os.environ.get("TCYCLE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidConfiguration(f"TCYCLE_SEED is not an integer: {text!r}") from None
 
 
 def _write_json(path, payload):
@@ -92,7 +96,7 @@ def cmd_reduce(args):
 
 def cmd_kernelize(args):
     g = fileio.load(args.infile)
-    budget = IsolationBudget(args.budget) if args.budget else None
+    budget = IsolationBudget(args.budget) if args.budget is not None else None
     kernel, report = kernelize(g, budget=budget, level=args.level)
     fileio.dump(kernel, args.outfile)
     if args.report:

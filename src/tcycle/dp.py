@@ -1,29 +1,50 @@
 """Dynamic programming over nice tree decompositions.
 
 Solves T-Cycle (with witness), vertex-disjoint linkages for a matching,
-and the subdivided M-cycle variant.  Each edge of the graph is charged to
-the node closest to the root whose bag contains both endpoints, so it is
-considered exactly once.  That node is the deeper of the two endpoints'
-topmost nodes: the nodes holding both endpoints form a subtree, and its
-top is whichever of the two topmost nodes lies below the other.
+and the subdivided M-cycle variant with one engine, `_PathDP`.  A state at
+a node is (degree of each bag vertex, pairing of the open path ends,
+closed flag): vertex-disjoint paths, or one cycle once closed, in the
+graph below the node.  What a problem adds is data:
 
-T-Cycle witnesses are backpointers, not edge sets: None at a leaf,
-("e", eid, prev) where an edge step took eid, and ("j", wa, wb) at a join.
-States share their history this way, and the edge set of the one state
-that answers is rebuilt once at the root.
+- a required degree per vertex, 2 for a terminal and 1 for a matched
+  vertex.  A vertex with one is forgotten only at that degree, any other
+  vertex at degree 0 or 2; a vertex's degree is capped at its required
+  degree, or at 2 when it has none;
+- the matching, empty for T-Cycle;
+- the closed flag of the answer at the root: True for T-Cycle, False for
+  linkage, where no cycle may close at all.
 
-Both joins group each child table by degree vector.  Per group, two
+Path ends are plain vertex ids.  A matched vertex forgotten at degree 1
+stays in the pairing as a sealed end: it never comes back into a bag of
+that subtree, so an end outside the current bag is a sealed one.  A path
+whose two ends are both sealed is complete; it must be a pair of the
+matching, and it leaves the state.  At the root every matched vertex has
+been sealed and every completed path checked against the matching, so a
+linkage is the empty state there.
+
+Each edge of the graph is charged to the node closest to the root whose
+bag contains both endpoints, so it is considered exactly once.  That node
+is the deeper of the two endpoints' topmost nodes: the nodes holding both
+endpoints form a subtree, and its top is whichever of the two topmost
+nodes lies below the other.
+
+Witnesses are backpointers, not edge sets: None at a leaf, (prev, eid)
+where an edge step took eid, and (wa, wb) at a join.  States share their
+history this way, and the edge set of the answer is rebuilt at the root.
+
+The join groups each child table by degree vector.  Per group, two
 bitmasks mark the bag positions of nonzero degree and of degree at
 capacity; two groups can be combined iff neither one's full positions
-meet the other's nonzero ones, and the summed degrees are formed once per
-compatible pair of groups rather than per pair of states.  Within a pair
-of groups the open paths of the two states are spliced by `_merge`, a
-walk over a mate map of path ends, and each join keeps the merge of every
-distinct pair of pairings it meets for the length of that one join.
+meet the other's nonzero ones, so the summed degrees are formed once per
+compatible pair of groups.  The open paths of two states are spliced by
+`_merge`, a walk over a mate map of path ends, and then settled: complete
+paths are checked and dropped, and cycles counted against what may close.
+An edge step is a join with the one-path pairing {u, v}.  Each join or
+edge step keeps the settled merge of every pairing it meets while it runs.
 
-At the end of a run each DP logs one DEBUG line to the "tcycle.dp"
-logger: nodes, joins, the peak table size and the number of distinct
-merges.
+At the end of a run the engine logs one DEBUG line to the "tcycle.dp"
+logger, named after the problem: nodes, joins, the peak table size and
+the number of distinct merges.
 """
 
 import logging
@@ -121,18 +142,22 @@ def _degree_groups(table, caps):
     return groups
 
 
-class _TCycleDP:
-    """State: per-bag-vertex degrees, pairing of the open path ends, and a
-    closed flag; values carry one witness backpointer per state."""
+class _PathDP:
+    """The path DP of the module docstring: required maps vertices to their
+    required degrees, and closes is the closed flag of the root's answer."""
 
-    def __init__(self, graph, terminals, td, assign):
+    def __init__(self, name, graph, td, assign, required, matching, closes):
+        self.name = name
         self.g = graph
-        self.T = frozenset(terminals)
         self.td = td
         self.assign = assign
+        self.required = required
+        self.matching = matching
+        self.closes = closes
         self.merges = 0  # distinct pairs of pairings merged, over all joins
 
     def run(self):
+        """The edge ids of one answer, or None."""
         tables = {}
         joins = peak = 0
         for node in self.td.postorder():
@@ -154,114 +179,116 @@ class _TCycleDP:
             tables[node] = table
             peak = max(peak, len(table))
         _log.debug(
-            "t-cycle: %d nodes, %d joins, peak table %d, %d distinct merges",
+            self.name + ": %d nodes, %d joins, peak table %d, %d distinct merges",
             len(self.td.bags), joins, peak, self.merges,
         )
-        root = tables[self.td.root]
-        key = ((), frozenset(), True)
-        if key not in root:
+        key = ((), frozenset(), self.closes)
+        if key not in tables[self.td.root]:
             return None
         edges = []
-        stack = [root[key]]
+        stack = [tables[self.td.root][key]]
         while stack:
             wit = stack.pop()
-            if wit is None:
-                continue
-            if wit[0] == "e":
-                edges.append(wit[1])
-                stack.append(wit[2])
-            else:
-                stack.extend(wit[1:])
+            if isinstance(wit, int):  # the eid of an edge step's (prev, eid)
+                edges.append(wit)
+            elif wit is not None:
+                stack.extend(wit)
         return edges
 
     def _introduce(self, tables, node, bag):
         (child,) = self.td.children[node]
-        v = self.td.distinguished(node)
-        pos = bag.index(v)
-        out = {}
-        for (degs, pairs, closed), wit in tables[child].items():
-            ndegs = degs[:pos] + (0,) + degs[pos:]
-            out[(ndegs, pairs, closed)] = wit
-        return out
+        pos = bag.index(self.td.distinguished(node))
+        return {
+            (degs[:pos] + (0,) + degs[pos:], pairs, closed): wit
+            for (degs, pairs, closed), wit in tables[child].items()
+        }
 
     def _forget(self, tables, node, bag):
         (child,) = self.td.children[node]
         v = self.td.distinguished(node)
-        cbag = tuple(sorted(self.td.bags[child]))
-        pos = cbag.index(v)
+        pos = sorted(self.td.bags[child]).index(v)
+        need = self.required.get(v)
         out = {}
         for (degs, pairs, closed), wit in tables[child].items():
             d = degs[pos]
-            if v in self.T:
-                if d != 2:
-                    continue
-            elif d not in (0, 2):
+            if (d != need) if need else (d == 1):
                 continue
-            key = (degs[:pos] + degs[pos + 1 :], pairs, closed)
-            out.setdefault(key, wit)
+            if d == 1:  # v is a sealed end now, and its path may be complete
+                p = next(p for p in pairs if v in p)
+                if p.isdisjoint(bag):
+                    if p not in self.matching:
+                        continue
+                    pairs = pairs - {p}
+            out.setdefault((degs[:pos] + degs[pos + 1 :], pairs, closed), wit)
         return out
 
     def _join(self, tables, node, bag):
         a, b = self.td.children[node]
         ta, tb = tables[a], tables[b]
+        caps = tuple(self.required.get(v, 2) for v in bag)
         out = {}
-        merged = {}
-        for degs, states_a, states_b in _compatible_groups(ta, tb, (2,) * len(bag)):
+        settled = {}
+        for degs, states_a, states_b in _compatible_groups(ta, tb, caps):
             for ka in states_a:
                 _, pa, ca = ka
                 for kb in states_b:
                     _, pb, cb = kb
                     if ca and cb:
                         continue
-                    m = merged.get((pa, pb))
+                    m = settled.get((pa, pb), False)
+                    if m is False:
+                        m = settled[pa, pb] = self._settle(_merge(pa, pb), bag)
                     if m is None:
-                        m = merged[pa, pb] = _merge(pa, pb)
-                    pairs, cycles = m
-                    if cycles > 1 or (cycles and (ca or cb)):
                         continue
-                    closed = ca or cb or cycles == 1
+                    pairs, closes = m
+                    if closes and (ca or cb):
+                        continue
+                    closed = ca or cb or closes
                     if closed and pairs:
                         continue
                     key = (degs, pairs, closed)
                     if key not in out:
-                        out[key] = ("j", ta[ka], tb[kb])
-        self.merges += len(merged)
+                        out[key] = (ta[ka], tb[kb])
+        self.merges += len(settled)
         return out
 
     def _edge(self, table, bag, eid):
         u, v = self.g.edges[eid]
         iu, iv = bag.index(u), bag.index(v)
+        cu, cv = self.required.get(u, 2), self.required.get(v, 2)
         out = dict(table)
+        settled = {}
         for (degs, pairs, closed), wit in table.items():
-            if closed or degs[iu] >= 2 or degs[iv] >= 2:
+            if closed or degs[iu] >= cu or degs[iv] >= cv:
+                continue
+            m = settled.get(pairs, False)
+            if m is False:
+                m = settled[pairs] = self._settle(_merge(pairs, ((u, v),)), bag)
+            if m is None:
+                continue
+            npairs, closes = m
+            if closes and npairs:
                 continue
             ndegs = list(degs)
             ndegs[iu] += 1
             ndegs[iv] += 1
-            ndegs = tuple(ndegs)
-            pu = next((p for p in pairs if u in p), None)
-            pv = next((p for p in pairs if v in p), None)
-            if pu is None and pv is None:
-                key = (ndegs, pairs | {frozenset({u, v})}, False)
-            elif pu is None or pv is None:
-                p = pu or pv
-                x, y = (u, v) if pu is None else (v, u)
-                (other,) = p - {y}
-                if other == x:
-                    continue
-                key = (ndegs, (pairs - {p}) | {frozenset({x, other})}, False)
-            elif pu == pv:
-                if len(pairs) != 1:
-                    continue
-                key = (ndegs, frozenset(), True)
-            else:
-                (x,) = pu - {u}
-                (y,) = pv - {v}
-                if x == y:
-                    continue
-                key = (ndegs, (pairs - {pu, pv}) | {frozenset({x, y})}, False)
-            out.setdefault(key, ("e", eid, wit))
+            out.setdefault((tuple(ndegs), npairs, closes), (wit, eid))
         return out
+
+    def _settle(self, merged, bag):
+        """A merge at a node with this bag, settled: (pairing without the
+        complete paths, whether a cycle closed), or None when more cycles
+        closed than may or a complete path is not a matched pair."""
+        pairs, cycles = merged
+        if cycles > (1 if self.closes else 0):
+            return None
+        if self.matching:
+            done = [p for p in pairs if p.isdisjoint(bag)]
+            if done:
+                if not self.matching.issuperset(done):
+                    return None
+                pairs = pairs.difference(done)
+        return pairs, cycles == 1
 
 
 def solve_t_cycle(graph, terminals=None, td=None):
@@ -272,7 +299,7 @@ def solve_t_cycle(graph, terminals=None, td=None):
     if not T <= graph.vertices:
         raise InvalidConfiguration("terminal is not a vertex")
     td, assign = _prepare(graph, td)
-    wit = _TCycleDP(graph, T, td, assign).run()
+    wit = _PathDP("t-cycle", graph, td, assign, dict.fromkeys(T, 2), frozenset(), True).run()
     if wit is None:
         return None
     loop = sorted(wit)
@@ -281,166 +308,15 @@ def solve_t_cycle(graph, terminals=None, td=None):
     return loop
 
 
-class _LinkageDP:
-    """State: degrees, open path fragments (ends are bag vertices or sealed
-    matched vertices), and the set of completed pairs."""
-
-    def __init__(self, graph, pairs, td, assign):
-        self.g = graph
-        self.pairs = frozenset(pairs)
-        self.matched = frozenset(v for p in pairs for v in p)
-        self.td = td
-        self.assign = assign
-        self.merges = 0  # distinct pairs of fragment sets merged, over all joins
-
-    def cap(self, v):
-        return 1 if v in self.matched else 2
-
-    def run(self):
-        tables = {}
-        joins = peak = 0
-        for node in self.td.postorder():
-            kind = self.td.kind[node]
-            bag = tuple(sorted(self.td.bags[node]))
-            if kind == "leaf":
-                table = {((), frozenset(), frozenset())}
-            elif kind == "introduce":
-                table = self._introduce(tables, node, bag)
-            elif kind == "forget":
-                table = self._forget(tables, node, bag)
-            else:
-                table = self._join(tables, node, bag)
-                joins += 1
-            for c in self.td.children[node]:
-                del tables[c]
-            for eid in self.assign[node]:
-                table = self._edge(table, bag, eid)
-            tables[node] = table
-            peak = max(peak, len(table))
-        _log.debug(
-            "linkage: %d nodes, %d joins, peak table %d, %d distinct merges",
-            len(self.td.bags), joins, peak, self.merges,
-        )
-        return ((), frozenset(), self.pairs) in tables[self.td.root]
-
-    def _introduce(self, tables, node, bag):
-        (child,) = self.td.children[node]
-        v = self.td.distinguished(node)
-        pos = bag.index(v)
-        out = set()
-        for degs, frags, done in tables[child]:
-            out.add((degs[:pos] + (0,) + degs[pos:], frags, done))
-        return out
-
-    def _forget(self, tables, node, bag):
-        (child,) = self.td.children[node]
-        v = self.td.distinguished(node)
-        cbag = tuple(sorted(self.td.bags[child]))
-        pos = cbag.index(v)
-        out = set()
-        for degs, frags, done in tables[child]:
-            d = degs[pos]
-            ndegs = degs[:pos] + degs[pos + 1 :]
-            if v in self.matched:
-                if d != 1:
-                    continue
-                frag = next(f for f in frags if ("v", v) in f)
-                (other,) = frag - {("v", v)}
-                if other[0] == "a":
-                    pair = frozenset({v, other[1]})
-                    if pair not in self.pairs:
-                        continue
-                    out.add((ndegs, frags - {frag}, done | {pair}))
-                else:
-                    nfrag = frozenset({("a", v), other})
-                    out.add((ndegs, (frags - {frag}) | {nfrag}, done))
-            else:
-                if d not in (0, 2):
-                    continue
-                out.add((ndegs, frags, done))
-        return out
-
-    def _join(self, tables, node, bag):
-        a, b = self.td.children[node]
-        out = set()
-        merged = {}
-        caps = tuple(self.cap(v) for v in bag)
-        for degs, states_a, states_b in _compatible_groups(tables[a], tables[b], caps):
-            for _, fa, za in states_a:
-                for _, fb, zb in states_b:
-                    m = merged.get((fa, fb), False)
-                    if m is False:
-                        m = merged[fa, fb] = self._seal(*_merge(fa, fb))
-                    if m is not None:
-                        frags, done = m
-                        out.add((degs, frags, za | zb | done))
-        self.merges += len(merged)
-        return out
-
-    def _seal(self, paths, cycles):
-        """Split spliced paths into open fragments and completed pairs, or
-        None when they close a cycle or join two matched vertices that are
-        not a pair."""
-        if cycles:
-            return None
-        frags = []
-        done = []
-        for path in paths:
-            x, y = path
-            if x[0] == "a" and y[0] == "a":
-                pair = frozenset({x[1], y[1]})
-                if pair not in self.pairs:
-                    return None
-                done.append(pair)
-            else:
-                frags.append(path)
-        return frozenset(frags), frozenset(done)
-
-    def _edge(self, table, bag, eid):
-        u, v = self.g.edges[eid]
-        iu, iv = bag.index(u), bag.index(v)
-        out = set(table)
-        for degs, frags, done in table:
-            if degs[iu] >= self.cap(u) or degs[iv] >= self.cap(v):
-                continue
-            ndegs = list(degs)
-            ndegs[iu] += 1
-            ndegs[iv] += 1
-            ndegs = tuple(ndegs)
-            eu, ev = ("v", u), ("v", v)
-            fu = next((f for f in frags if eu in f), None)
-            fv = next((f for f in frags if ev in f), None)
-            if fu is not None and fu == fv:
-                continue  # would close a cycle
-            if fu is None and fv is None:
-                out.add((ndegs, frags | {frozenset({eu, ev})}, done))
-                continue
-            if fu is None or fv is None:
-                f = fu or fv
-                mine = eu if fu is None else ev
-                gone = ev if fu is None else eu
-                (other,) = f - {gone}
-                out.add((ndegs, (frags - {f}) | {frozenset({mine, other})}, done))
-                continue
-            (x,) = fu - {eu}
-            (y,) = fv - {ev}
-            if x[0] == "a" and y[0] == "a":
-                pair = frozenset({x[1], y[1]})
-                if pair not in self.pairs:
-                    continue
-                out.add((ndegs, frags - {fu, fv}, done | {pair}))
-            else:
-                out.add((ndegs, (frags - {fu, fv}) | {frozenset({x, y})}, done))
-        return out
-
-
 def solve_disjoint_paths(graph, matching, td=None):
     """True iff vertex-disjoint paths realize every pair of the matching."""
     pairs = check_matching(graph, matching)
     if not pairs:
         return True
     td, assign = _prepare(graph, td)
-    return _LinkageDP(graph, pairs, td, assign).run()
+    required = dict.fromkeys((v for p in pairs for v in p), 1)
+    dp = _PathDP("linkage", graph, td, assign, required, frozenset(pairs), False)
+    return dp.run() is not None
 
 
 def subdivided_instance(graph, matching):

@@ -87,6 +87,14 @@ def test_kernelize_then_solve_matches(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_kernelize_budget_zero_is_exit_2(tmp_path, capsys):
+    inst = write_instance(tmp_path / "in.txt", generate.grid(3, 3, terminals={1, 9}))
+    out = tmp_path / "out.txt"
+    assert main(["kernelize", inst, str(out), "--budget", "0"]) == 2
+    assert "isolation depth must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_td_output_round_trips(tmp_path, capsys):
     g = generate.grid(3, 4)
     inst = write_instance(tmp_path / "g.txt", g)
@@ -175,6 +183,16 @@ def test_gen_seed_from_environment(tmp_path, monkeypatch):
     assert main(["gen", "random-planar", "--n", "10", "-o", str(a)]) == 0
     assert main(["gen", "random-planar", "--n", "10", "--seed", "5", "-o", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_bad_seed_in_environment_is_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TCYCLE_SEED", "abc")
+    out = tmp_path / "a.txt"
+    assert main(["gen", "random-planar", "--n", "10", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: TCYCLE_SEED")
+    assert not out.exists()
+    # an explicit --seed does not read the environment
+    assert main(["gen", "random-planar", "--n", "10", "--seed", "5", "-o", str(out)]) == 0
 
 
 def test_roundtrip_on_generated_corpus():
@@ -304,6 +322,17 @@ def test_td_and_reduce_fuzzed_records_end_in_an_exit_code(text):
             fh.write(text)
         assert main(["td", path]) in (0, 1, 2)
         assert main(["reduce", path, os.path.join(tmp, "out.txt")]) in (0, 1, 2)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance_texts())
+def test_kernelize_fuzzed_records_end_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, report = os.path.join(tmp, "out.txt"), os.path.join(tmp, "report.json")
+        assert main(["kernelize", path, out, "--report", report]) in (0, 1, 2)
 
 
 def _config_seed_texts():

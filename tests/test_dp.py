@@ -1,6 +1,6 @@
-import itertools
 import logging
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -209,14 +209,314 @@ def test_long_ladder_solves():
 
 
 def test_bad_witness_raises(monkeypatch):
-    run = dp._TCycleDP.run
-    monkeypatch.setattr(dp._TCycleDP, "run", lambda self: run(self)[1:])
+    run = dp._PathDP.run
+    monkeypatch.setattr(dp._PathDP, "run", lambda self: run(self)[1:])
     g = generate.grid(3, 4, terminals={1, 12})
     with pytest.raises(TCycleError):
         solve_t_cycle(g)
 
 
-# -- the join before degree-vector grouping, kept as the reference ----------
+# -- the two DPs before the fold into one engine, kept as the reference ------
+
+_log = logging.getLogger("tests.reference_dp")
+_compatible_groups = dp._compatible_groups
+_merge = dp._merge
+
+
+class _TCycleDP:
+    """State: per-bag-vertex degrees, pairing of the open path ends, and a
+    closed flag; values carry one witness backpointer per state."""
+
+    def __init__(self, graph, terminals, td, assign):
+        self.g = graph
+        self.T = frozenset(terminals)
+        self.td = td
+        self.assign = assign
+        self.merges = 0  # distinct pairs of pairings merged, over all joins
+
+    def run(self):
+        tables = {}
+        joins = peak = 0
+        for node in self.td.postorder():
+            kind = self.td.kind[node]
+            bag = tuple(sorted(self.td.bags[node]))
+            if kind == "leaf":
+                table = {((), frozenset(), False): None}
+            elif kind == "introduce":
+                table = self._introduce(tables, node, bag)
+            elif kind == "forget":
+                table = self._forget(tables, node, bag)
+            else:
+                table = self._join(tables, node, bag)
+                joins += 1
+            for c in self.td.children[node]:
+                del tables[c]
+            for eid in self.assign[node]:
+                table = self._edge(table, bag, eid)
+            tables[node] = table
+            peak = max(peak, len(table))
+        _log.debug(
+            "t-cycle: %d nodes, %d joins, peak table %d, %d distinct merges",
+            len(self.td.bags), joins, peak, self.merges,
+        )
+        root = tables[self.td.root]
+        key = ((), frozenset(), True)
+        if key not in root:
+            return None
+        edges = []
+        stack = [root[key]]
+        while stack:
+            wit = stack.pop()
+            if wit is None:
+                continue
+            if wit[0] == "e":
+                edges.append(wit[1])
+                stack.append(wit[2])
+            else:
+                stack.extend(wit[1:])
+        return edges
+
+    def _introduce(self, tables, node, bag):
+        (child,) = self.td.children[node]
+        v = self.td.distinguished(node)
+        pos = bag.index(v)
+        out = {}
+        for (degs, pairs, closed), wit in tables[child].items():
+            ndegs = degs[:pos] + (0,) + degs[pos:]
+            out[(ndegs, pairs, closed)] = wit
+        return out
+
+    def _forget(self, tables, node, bag):
+        (child,) = self.td.children[node]
+        v = self.td.distinguished(node)
+        cbag = tuple(sorted(self.td.bags[child]))
+        pos = cbag.index(v)
+        out = {}
+        for (degs, pairs, closed), wit in tables[child].items():
+            d = degs[pos]
+            if v in self.T:
+                if d != 2:
+                    continue
+            elif d not in (0, 2):
+                continue
+            key = (degs[:pos] + degs[pos + 1 :], pairs, closed)
+            out.setdefault(key, wit)
+        return out
+
+    def _join(self, tables, node, bag):
+        a, b = self.td.children[node]
+        ta, tb = tables[a], tables[b]
+        out = {}
+        merged = {}
+        for degs, states_a, states_b in _compatible_groups(ta, tb, (2,) * len(bag)):
+            for ka in states_a:
+                _, pa, ca = ka
+                for kb in states_b:
+                    _, pb, cb = kb
+                    if ca and cb:
+                        continue
+                    m = merged.get((pa, pb))
+                    if m is None:
+                        m = merged[pa, pb] = _merge(pa, pb)
+                    pairs, cycles = m
+                    if cycles > 1 or (cycles and (ca or cb)):
+                        continue
+                    closed = ca or cb or cycles == 1
+                    if closed and pairs:
+                        continue
+                    key = (degs, pairs, closed)
+                    if key not in out:
+                        out[key] = ("j", ta[ka], tb[kb])
+        self.merges += len(merged)
+        return out
+
+    def _edge(self, table, bag, eid):
+        u, v = self.g.edges[eid]
+        iu, iv = bag.index(u), bag.index(v)
+        out = dict(table)
+        for (degs, pairs, closed), wit in table.items():
+            if closed or degs[iu] >= 2 or degs[iv] >= 2:
+                continue
+            ndegs = list(degs)
+            ndegs[iu] += 1
+            ndegs[iv] += 1
+            ndegs = tuple(ndegs)
+            pu = next((p for p in pairs if u in p), None)
+            pv = next((p for p in pairs if v in p), None)
+            if pu is None and pv is None:
+                key = (ndegs, pairs | {frozenset({u, v})}, False)
+            elif pu is None or pv is None:
+                p = pu or pv
+                x, y = (u, v) if pu is None else (v, u)
+                (other,) = p - {y}
+                if other == x:
+                    continue
+                key = (ndegs, (pairs - {p}) | {frozenset({x, other})}, False)
+            elif pu == pv:
+                if len(pairs) != 1:
+                    continue
+                key = (ndegs, frozenset(), True)
+            else:
+                (x,) = pu - {u}
+                (y,) = pv - {v}
+                if x == y:
+                    continue
+                key = (ndegs, (pairs - {pu, pv}) | {frozenset({x, y})}, False)
+            out.setdefault(key, ("e", eid, wit))
+        return out
+
+
+class _LinkageDP:
+    """State: degrees, open path fragments (ends are bag vertices or sealed
+    matched vertices), and the set of completed pairs."""
+
+    def __init__(self, graph, pairs, td, assign):
+        self.g = graph
+        self.pairs = frozenset(pairs)
+        self.matched = frozenset(v for p in pairs for v in p)
+        self.td = td
+        self.assign = assign
+        self.merges = 0  # distinct pairs of fragment sets merged, over all joins
+
+    def cap(self, v):
+        return 1 if v in self.matched else 2
+
+    def run(self):
+        tables = {}
+        joins = peak = 0
+        for node in self.td.postorder():
+            kind = self.td.kind[node]
+            bag = tuple(sorted(self.td.bags[node]))
+            if kind == "leaf":
+                table = {((), frozenset(), frozenset())}
+            elif kind == "introduce":
+                table = self._introduce(tables, node, bag)
+            elif kind == "forget":
+                table = self._forget(tables, node, bag)
+            else:
+                table = self._join(tables, node, bag)
+                joins += 1
+            for c in self.td.children[node]:
+                del tables[c]
+            for eid in self.assign[node]:
+                table = self._edge(table, bag, eid)
+            tables[node] = table
+            peak = max(peak, len(table))
+        _log.debug(
+            "linkage: %d nodes, %d joins, peak table %d, %d distinct merges",
+            len(self.td.bags), joins, peak, self.merges,
+        )
+        return ((), frozenset(), self.pairs) in tables[self.td.root]
+
+    def _introduce(self, tables, node, bag):
+        (child,) = self.td.children[node]
+        v = self.td.distinguished(node)
+        pos = bag.index(v)
+        out = set()
+        for degs, frags, done in tables[child]:
+            out.add((degs[:pos] + (0,) + degs[pos:], frags, done))
+        return out
+
+    def _forget(self, tables, node, bag):
+        (child,) = self.td.children[node]
+        v = self.td.distinguished(node)
+        cbag = tuple(sorted(self.td.bags[child]))
+        pos = cbag.index(v)
+        out = set()
+        for degs, frags, done in tables[child]:
+            d = degs[pos]
+            ndegs = degs[:pos] + degs[pos + 1 :]
+            if v in self.matched:
+                if d != 1:
+                    continue
+                frag = next(f for f in frags if ("v", v) in f)
+                (other,) = frag - {("v", v)}
+                if other[0] == "a":
+                    pair = frozenset({v, other[1]})
+                    if pair not in self.pairs:
+                        continue
+                    out.add((ndegs, frags - {frag}, done | {pair}))
+                else:
+                    nfrag = frozenset({("a", v), other})
+                    out.add((ndegs, (frags - {frag}) | {nfrag}, done))
+            else:
+                if d not in (0, 2):
+                    continue
+                out.add((ndegs, frags, done))
+        return out
+
+    def _join(self, tables, node, bag):
+        a, b = self.td.children[node]
+        out = set()
+        merged = {}
+        caps = tuple(self.cap(v) for v in bag)
+        for degs, states_a, states_b in _compatible_groups(tables[a], tables[b], caps):
+            for _, fa, za in states_a:
+                for _, fb, zb in states_b:
+                    m = merged.get((fa, fb), False)
+                    if m is False:
+                        m = merged[fa, fb] = self._seal(*_merge(fa, fb))
+                    if m is not None:
+                        frags, done = m
+                        out.add((degs, frags, za | zb | done))
+        self.merges += len(merged)
+        return out
+
+    def _seal(self, paths, cycles):
+        """Split spliced paths into open fragments and completed pairs, or
+        None when they close a cycle or join two matched vertices that are
+        not a pair."""
+        if cycles:
+            return None
+        frags = []
+        done = []
+        for path in paths:
+            x, y = path
+            if x[0] == "a" and y[0] == "a":
+                pair = frozenset({x[1], y[1]})
+                if pair not in self.pairs:
+                    return None
+                done.append(pair)
+            else:
+                frags.append(path)
+        return frozenset(frags), frozenset(done)
+
+    def _edge(self, table, bag, eid):
+        u, v = self.g.edges[eid]
+        iu, iv = bag.index(u), bag.index(v)
+        out = set(table)
+        for degs, frags, done in table:
+            if degs[iu] >= self.cap(u) or degs[iv] >= self.cap(v):
+                continue
+            ndegs = list(degs)
+            ndegs[iu] += 1
+            ndegs[iv] += 1
+            ndegs = tuple(ndegs)
+            eu, ev = ("v", u), ("v", v)
+            fu = next((f for f in frags if eu in f), None)
+            fv = next((f for f in frags if ev in f), None)
+            if fu is not None and fu == fv:
+                continue  # would close a cycle
+            if fu is None and fv is None:
+                out.add((ndegs, frags | {frozenset({eu, ev})}, done))
+                continue
+            if fu is None or fv is None:
+                f = fu or fv
+                mine = eu if fu is None else ev
+                gone = ev if fu is None else eu
+                (other,) = f - {gone}
+                out.add((ndegs, (frags - {f}) | {frozenset({mine, other})}, done))
+                continue
+            (x,) = fu - {eu}
+            (y,) = fv - {ev}
+            if x[0] == "a" and y[0] == "a":
+                pair = frozenset({x[1], y[1]})
+                if pair not in self.pairs:
+                    continue
+                out.add((ndegs, frags - {fu, fv}, done | {pair}))
+            else:
+                out.add((ndegs, (frags - {fu, fv}) | {frozenset({x, y})}, done))
+        return out
 
 
 def reference_components(pair_edges):
@@ -256,81 +556,52 @@ def reference_components(pair_edges):
     return paths, cycles
 
 
-def reference_t_cycle_join(self, tables, node, bag):
-    a, b = self.td.children[node]
-    out = {}
-    for (da, pa, ca), wa in tables[a].items():
-        for (db, pb, cb), wb in tables[b].items():
-            if ca and cb:
-                continue
-            degs = tuple(x + y for x, y in zip(da, db))
-            if any(d > 2 for d in degs):
-                continue
-            paths, cycles = reference_components(
-                [tuple(sorted(p)) for p in pa] + [tuple(sorted(p)) for p in pb]
-            )
-            if cycles > 1 or (cycles and (ca or cb)):
-                continue
-            closed = ca or cb or cycles == 1
-            pairs = frozenset(frozenset(p) for p in paths)
-            if closed and pairs:
-                continue
-            key = (degs, pairs, closed)
-            out.setdefault(key, ("j", wa, wb))
-    return out
+class Lockstep(dp._PathDP):
+    """The engine, run node by node beside a reference DP: after every
+    introduce, forget and join and after every edge step, its key set must
+    be the reference's under project."""
+
+    def __init__(self, ref, ref_leaf, project, *args):
+        super().__init__(*args)
+        self.ref = ref
+        self.project = project
+        self.ref_tables = {n: ref_leaf for n in self.td.bags if self.td.kind[n] == "leaf"}
+        self.steps = dict.fromkeys(("_introduce", "_forget", "_join", "_edge"), 0)
+
+    def _check(self, step, got, want):
+        assert set(got) == {self.project(k) for k in want}, (step, self.node)
+        self.steps[step] += 1
+
+    def _step(self, step, tables, node, bag):
+        got = getattr(super(), step)(tables, node, bag)
+        want = getattr(self.ref, step)(self.ref_tables, node, bag)
+        self.node = node
+        self._check(step, got, want)
+        self.ref_tables[node] = want
+        return got
+
+    def _introduce(self, tables, node, bag):
+        return self._step("_introduce", tables, node, bag)
+
+    def _forget(self, tables, node, bag):
+        return self._step("_forget", tables, node, bag)
+
+    def _join(self, tables, node, bag):
+        return self._step("_join", tables, node, bag)
+
+    def _edge(self, table, bag, eid):
+        got = super()._edge(table, bag, eid)
+        want = self.ref._edge(self.ref_tables[self.node], bag, eid)
+        self._check("_edge", got, want)
+        self.ref_tables[self.node] = want
+        return got
 
 
-def reference_linkage_join(self, tables, node, bag):
-    a, b = self.td.children[node]
-    out = set()
-    for da, fa, za in tables[a]:
-        for db, fb, zb in tables[b]:
-            degs = tuple(x + y for x, y in zip(da, db))
-            if any(d > self.cap(v) for d, v in zip(degs, bag)):
-                continue
-            paths, cycles = reference_components(
-                [tuple(sorted(f, key=repr)) for f in fa]
-                + [tuple(sorted(f, key=repr)) for f in fb]
-            )
-            if cycles:
-                continue
-            done = set(za | zb)
-            frags = set()
-            ok = True
-            for x, y in paths:
-                if x == y:
-                    ok = False
-                    break
-                if x[0] == "a" and y[0] == "a":
-                    pair = frozenset({x[1], y[1]})
-                    if pair not in self.pairs:
-                        ok = False
-                        break
-                    done.add(pair)
-                else:
-                    frags.add(frozenset({x, y}))
-            if ok:
-                out.add((degs, frozenset(frags), frozenset(done)))
-    return out
-
-
-def checked(dp_class, reference):
-    """dp_class whose every join asserts that its key set is the
-    reference join's; counts the joins and the states they produced."""
-
-    class Checked(dp_class):
-        joins = 0
-        states = 0
-
-        def _join(self, tables, node, bag):
-            got = super()._join(tables, node, bag)
-            want = reference(self, tables, node, bag)
-            assert set(got) == set(want), (node, bag)
-            Checked.joins += 1
-            Checked.states += len(want)
-            return got
-
-    return Checked
+def untagged(key):
+    """A reference linkage state as the engine keeps it: tags stripped
+    from the path ends, the completed pairs dropped, never closed."""
+    degs, frags, _done = key
+    return degs, frozenset(frozenset(end for _, end in f) for f in frags), False
 
 
 def join_instances():
@@ -355,22 +626,38 @@ def join_instances():
         yield g, ids[-1], [(ids[0][0], ids[-1][1])]
 
 
-def test_join_key_sets_match_the_reference():
-    tdp = checked(dp._TCycleDP, reference_t_cycle_join)
-    ldp = checked(dp._LinkageDP, reference_linkage_join)
+def test_every_node_matches_the_reference():
+    steps = {"t-cycle": Counter(), "linkage": Counter()}
     graphs = 0
     for g, T, M in join_instances():
         td, assign = _prepare(g, None)
-        wit = tdp(g, frozenset(T), td, assign).run()
+        T = frozenset(T)
+        ref = _TCycleDP(g, T, td, assign)
+        new = Lockstep(
+            ref, {((), frozenset(), False): None}, lambda k: k,
+            "t-cycle", g, td, assign, dict.fromkeys(T, 2), frozenset(), True,
+        )
+        wit = new.run()
+        assert (wit is not None) == (((), frozenset(), True) in new.ref_tables[td.root])
         if wit is not None:
-            assert is_t_loop(g, set(T), sorted(wit))
+            assert is_t_loop(g, T, sorted(wit))
+        steps["t-cycle"].update(new.steps)
+
         pairs = dp.check_matching(g, M)
-        ldp(g, pairs, td, assign).run()
+        ref = _LinkageDP(g, pairs, td, assign)
+        required = dict.fromkeys((v for p in pairs for v in p), 1)
+        new = Lockstep(
+            ref, {((), frozenset(), frozenset())}, untagged,
+            "linkage", g, td, assign, required, frozenset(pairs), False,
+        )
+        found = new.run() is not None
+        assert found == (((), frozenset(), frozenset(pairs)) in new.ref_tables[td.root])
+        steps["linkage"].update(new.steps)
         graphs += 1
     assert graphs >= 100
-    # the same decompositions, so both DPs meet the same join nodes
-    assert tdp.joins == ldp.joins > 500
-    assert tdp.states > 20 * tdp.joins and ldp.states > 20 * ldp.joins
+    # the same decompositions, so both problems meet the same nodes
+    assert steps["t-cycle"] == steps["linkage"]
+    assert steps["t-cycle"]["_join"] > 500 and steps["t-cycle"]["_edge"] > 500
 
 
 def _pairing(vertices):
