@@ -125,8 +125,7 @@ def cmd_kernelize(args):
 
 def cmd_td(args):
     g = fileio.load(args.infile)
-    td = build(g, mode=args.mode)
-    td.validate(g)
+    td = build(g)
     for line in pace_lines(td, len(g.vertices)):
         print(line)
     return 0
@@ -224,7 +223,6 @@ def build_parser():
 
     s = sub.add_parser("td", help="print a tree decomposition")
     s.add_argument("infile")
-    s.add_argument("--mode", choices=("greedy", "radial"), default="greedy")
     s.set_defaults(fn=cmd_td)
 
     s = sub.add_parser("oracle", help="exhaustive reference solvers")

@@ -1,7 +1,8 @@
 """Dynamic programming over nice tree decompositions.
 
 Solves T-Cycle (with witness), vertex-disjoint linkages for a matching,
-and the subdivided M-cycle variant with one engine, `_PathDP`.  A state at
+and the subdivided M-cycle variant with one engine, `_PathDP`, which also
+lists every way a graph can link a boundary set in one pass.  A state at
 a node is (degree of each bag vertex, pairing of the open path ends,
 closed flag): vertex-disjoint paths, or one cycle once closed, in the
 graph below the node.  What a problem adds is data:
@@ -12,7 +13,8 @@ graph below the node.  What a problem adds is data:
   degree, or at 2 when it has none;
 - the matching, empty for T-Cycle;
 - the closed flag of the answer at the root: True for T-Cycle, False for
-  linkage, where no cycle may close at all.
+  linkage, where no cycle may close at all;
+- a boundary set, empty except for `boundary_linkages`.
 
 Path ends are plain vertex ids.  A matched vertex forgotten at degree 1
 stays in the pairing as a sealed end: it never comes back into a bag of
@@ -21,6 +23,19 @@ whose two ends are both sealed is complete; it must be a pair of the
 matching, and it leaves the state.  At the root every matched vertex has
 been sealed and every completed path checked against the matching, so a
 linkage is the empty state there.
+
+A boundary vertex b ends every path that reaches it.  An edge step
+names b's end by the token (b, i) instead of b, where i is b's degree
+before the step: the number of paths already ending at b, 0 or 1.  At a
+join where each child has one path ending at b, the second child's
+token (b, 0) becomes (b, 1).  So the tokens of a state are distinct:
+they never merge, and a path stops at b.  b's degree is capped at two
+and b is forgotten at any degree, while its tokens stay in the pairing.
+The root of a boundary run thus holds one pairing per set of
+boundary-to-boundary segments: paths whose ends are boundary vertices,
+with none inside, disjoint but for shared ends.  Tokens are numbered,
+not named after their edges, so that paths reaching b along different
+edges give one state, not one per edge.
 
 Each edge of the graph is charged to the node closest to the root whose
 bag contains both endpoints, so it is considered exactly once.  That node
@@ -59,12 +74,14 @@ _log = logging.getLogger("tcycle.dp")
 
 
 def _prepare(graph, td):
-    """Nice decomposition plus the edge-to-node assignment."""
+    """Nice decomposition plus the edge-to-node assignment.  A decomposition
+    the caller passes in is validated here; one built here already was."""
     if td is None:
         td = build(graph)
+    else:
+        td.validate(graph)
     if not isinstance(td, NiceTreeDecomposition):
         td = make_nice(td)
-    td.validate(graph)
     depth = {td.root: 0}
     top = {}
     stack = [td.root]
@@ -111,6 +128,11 @@ def _merge(pa, pb):
     return frozenset(pairs), cycles
 
 
+def _renumbered(pairs, tokens):
+    """pairs with each token (b, 0) in tokens renamed (b, 1)."""
+    return frozenset(frozenset((x[0], 1) if x in tokens else x for x in p) for p in pairs)
+
+
 def _compatible_groups(table_a, table_b, caps):
     """Pair up the degree-vector groups of two child tables whose summed
     degrees stay within caps; yields (summed degrees, states of a, states
@@ -144,9 +166,12 @@ def _degree_groups(table, caps):
 
 class _PathDP:
     """The path DP of the module docstring: required maps vertices to their
-    required degrees, and closes is the closed flag of the root's answer."""
+    required degrees, closes is the closed flag of the root's answer, and
+    boundary is the set of vertices whose path ends are tokens."""
 
-    def __init__(self, name, graph, td, assign, required, matching, closes):
+    def __init__(
+        self, name, graph, td, assign, required, matching, closes, boundary=frozenset()
+    ):
         self.name = name
         self.g = graph
         self.td = td
@@ -154,10 +179,27 @@ class _PathDP:
         self.required = required
         self.matching = matching
         self.closes = closes
+        self.boundary = boundary
         self.merges = 0  # distinct pairs of pairings merged, over all joins
 
     def run(self):
         """The edge ids of one answer, or None."""
+        root = self.root_table()
+        key = ((), frozenset(), self.closes)
+        if key not in root:
+            return None
+        edges = []
+        stack = [root[key]]
+        while stack:
+            wit = stack.pop()
+            if isinstance(wit, int):  # the eid of an edge step's (prev, eid)
+                edges.append(wit)
+            elif wit is not None:
+                stack.extend(wit)
+        return edges
+
+    def root_table(self):
+        """The table at the root: state -> witness."""
         tables = {}
         joins = peak = 0
         for node in self.td.postorder():
@@ -182,18 +224,7 @@ class _PathDP:
             self.name + ": %d nodes, %d joins, peak table %d, %d distinct merges",
             len(self.td.bags), joins, peak, self.merges,
         )
-        key = ((), frozenset(), self.closes)
-        if key not in tables[self.td.root]:
-            return None
-        edges = []
-        stack = [tables[self.td.root][key]]
-        while stack:
-            wit = stack.pop()
-            if isinstance(wit, int):  # the eid of an edge step's (prev, eid)
-                edges.append(wit)
-            elif wit is not None:
-                stack.extend(wit)
-        return edges
+        return tables[self.td.root]
 
     def _introduce(self, tables, node, bag):
         (child,) = self.td.children[node]
@@ -208,17 +239,19 @@ class _PathDP:
         v = self.td.distinguished(node)
         pos = sorted(self.td.bags[child]).index(v)
         need = self.required.get(v)
+        checked = v not in self.boundary  # a boundary vertex's ends are tokens
         out = {}
         for (degs, pairs, closed), wit in tables[child].items():
             d = degs[pos]
-            if (d != need) if need else (d == 1):
-                continue
-            if d == 1:  # v is a sealed end now, and its path may be complete
-                p = next(p for p in pairs if v in p)
-                if p.isdisjoint(bag):
-                    if p not in self.matching:
-                        continue
-                    pairs = pairs - {p}
+            if checked:
+                if (d != need) if need else (d == 1):
+                    continue
+                if d == 1:  # v is a sealed end now, and its path may be complete
+                    p = next(p for p in pairs if v in p)
+                    if p.isdisjoint(bag):
+                        if p not in self.matching:
+                            continue
+                        pairs = pairs - {p}
             out.setdefault((degs[:pos] + degs[pos + 1 :], pairs, closed), wit)
         return out
 
@@ -226,15 +259,24 @@ class _PathDP:
         a, b = self.td.children[node]
         ta, tb = tables[a], tables[b]
         caps = tuple(self.required.get(v, 2) for v in bag)
+        bpos = [i for i, v in enumerate(bag) if v in self.boundary]
         out = {}
         settled = {}
         for degs, states_a, states_b in _compatible_groups(ta, tb, caps):
+            renamed = None
+            if bpos:  # a boundary vertex with a path end on each side
+                da, db = states_a[0][0], states_b[0][0]
+                shifted = {(bag[i], 0) for i in bpos if da[i] and db[i]}
+                if shifted:  # takes the token (v, 1) on the second side
+                    renamed = {kb[1]: _renumbered(kb[1], shifted) for kb in states_b}
             for ka in states_a:
                 _, pa, ca = ka
                 for kb in states_b:
                     _, pb, cb = kb
                     if ca and cb:
                         continue
+                    if renamed:
+                        pb = renamed[pb]
                     m = settled.get((pa, pb), False)
                     if m is False:
                         m = settled[pa, pb] = self._settle(_merge(pa, pb), bag)
@@ -256,14 +298,16 @@ class _PathDP:
         u, v = self.g.edges[eid]
         iu, iv = bag.index(u), bag.index(v)
         cu, cv = self.required.get(u, 2), self.required.get(v, 2)
+        ends_u, ends_v = self._ends(u), self._ends(v)
         out = dict(table)
         settled = {}
         for (degs, pairs, closed), wit in table.items():
             if closed or degs[iu] >= cu or degs[iv] >= cv:
                 continue
-            m = settled.get(pairs, False)
+            path = (ends_u[degs[iu]], ends_v[degs[iv]])
+            m = settled.get((pairs, path), False)
             if m is False:
-                m = settled[pairs] = self._settle(_merge(pairs, ((u, v),)), bag)
+                m = settled[pairs, path] = self._settle(_merge(pairs, (path,)), bag)
             if m is None:
                 continue
             npairs, closes = m
@@ -274,6 +318,11 @@ class _PathDP:
             ndegs[iv] += 1
             out.setdefault((tuple(ndegs), npairs, closes), (wit, eid))
         return out
+
+    def _ends(self, v):
+        """The path end an edge step puts at v, indexed by v's degree
+        before the step: v itself, or a boundary vertex's token."""
+        return ((v, 0), (v, 1)) if v in self.boundary else (v, v)
 
     def _settle(self, merged, bag):
         """A merge at a node with this bag, settled: (pairing without the
@@ -317,6 +366,21 @@ def solve_disjoint_paths(graph, matching, td=None):
     required = dict.fromkeys((v for p in pairs for v in p), 1)
     dp = _PathDP("linkage", graph, td, assign, required, frozenset(pairs), False)
     return dp.run() is not None
+
+
+def boundary_linkages(graph, boundary, td=None):
+    """Every set of boundary-to-boundary segments the graph holds, each as
+    a sorted tuple of (a, b) pairs with a <= b: one pair per path from
+    boundary vertex a to boundary vertex b with no boundary vertex inside,
+    the paths disjoint but for shared ends.  A path from b back to b is
+    (b, b), and two paths between a and b give (a, b) twice."""
+    B = frozenset(boundary)
+    td, assign = _prepare(graph, td)
+    dp = _PathDP("profile", graph, td, assign, {}, frozenset(), False, B)
+    return {
+        tuple(sorted(tuple(sorted(b for b, _ in p)) for p in pairs))
+        for _, pairs, _ in dp.root_table()
+    }
 
 
 def subdivided_instance(graph, matching):
@@ -375,6 +439,4 @@ def _extend_for_subdivision(td, graph, boundary, gm, subs):
         bags[nxt] = boundary | {w}
         links.append((td.root, nxt))
         nxt += 1
-    out = TreeDecomposition(bags, links, root=td.root)
-    out.validate(gm)
-    return out
+    return TreeDecomposition(bags, links, root=td.root)

@@ -5,8 +5,15 @@ A protrusion is a part of the graph that meets the rest only in a small
 boundary.  Two parts with the same boundary behave identically for loop
 finding exactly when they enable the same linkages across that boundary,
 so a part can be swapped for any smaller graph with an equal profile.
-Every swap is certified twice: the replacement must be a minor of the
-part it replaces, and the profiles must match on both feasibility sets.
+
+A profile is read off one boundaried run of the path DP
+(`dp.boundary_linkages`): every boundary vertex ends the paths that reach
+it, so the root table lists each set of boundary-to-boundary segments
+the part holds.  Crossing patterns, closing matchings and cycle-covered
+boundary subsets all follow from those segment sets, and comparing a
+candidate with its target is one profile computation and an equality
+test.  Every swap is certified twice: the replacement must be a minor of
+the part it replaces, and the profiles must be equal.
 """
 
 import functools
@@ -14,7 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .decomposition import IsolationBudget, isolation_threshold, reed_pipeline
-from .dp import solve_disjoint_paths, solve_m_cycle, solve_t_cycle
+# solve_t_cycle stays reachable here: perfbench traces kernel.solve_t_cycle
+from .dp import _merge, boundary_linkages, solve_t_cycle  # noqa: F401
 from .errors import (
     BoundaryTooLarge,
     BudgetExceeded,
@@ -25,7 +33,7 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import EmbeddedGraph, radial_bfs
-from .oracle import all_cycles, brute_minor
+from .oracle import brute_minor
 from .treewidth import build, lca_closure, make_nice
 
 BOUNDARY_LIMIT = 6
@@ -193,124 +201,20 @@ def all_matchings(vertices):
     yield from rec(vs)
 
 
-@functools.lru_cache(maxsize=None)
-def _pattern_shapes(b):
-    """All linear forests over b labelled points, as tuples of index pairs
-    ordered by pair count.  Degree at most two per point and no closed
-    component: exactly the ways a single cycle can traverse a part, with a
-    degree-two point passed straight through."""
-    pairs = list(itertools.combinations(range(b), 2))
-    shapes = []
-    for m in range(0, b + 1):
-        for combo in itertools.combinations(pairs, m):
-            deg = {}
-            root = {}
-
-            def find(x):
-                while root[x] != x:
-                    root[x] = root[root[x]]
-                    x = root[x]
-                return x
-
-            ok = True
-            for a, c in combo:
-                deg[a] = deg.get(a, 0) + 1
-                deg[c] = deg.get(c, 0) + 1
-                if deg[a] > 2 or deg[c] > 2:
-                    ok = False
-                    break
-                root.setdefault(a, a)
-                root.setdefault(c, c)
-                ra, rc = find(a), find(c)
-                if ra == rc:
-                    ok = False
-                    break
-                root[ra] = rc
-            if ok:
-                shapes.append(combo)
-    return tuple(shapes)
-
-
-def all_patterns(vertices):
-    """Every way a simple cycle can cross the given boundary, as a set of
-    unordered pairs: each vertex in at most two pairs, no subset of pairs
-    closing a cycle.  Yielded by pair count, which the profile's pruning
-    relies on."""
-    vs = sorted(set(vertices))
-    for shape in _pattern_shapes(len(vs)):
-        yield frozenset(frozenset((vs[a], vs[c])) for a, c in shape)
-
-
-def _pattern_query(graph, boundary, pattern):
-    """True iff disjoint paths realize every pair of the pattern, together
-    meeting the boundary exactly in the pattern's vertices.
-
-    A vertex in two pairs is passed through: its two paths share it and
-    nothing else.  That case is fed to the plain disjoint-paths solver by
-    splitting the vertex into two copies with duplicated incidences; the
-    copies are query endpoints, so disjointness keeps them exclusive.  The
-    split graph carries a placeholder rotation for the solver only."""
-    support = {v for p in pattern for v in p}
-    drop = (set(boundary) - support) & graph.vertices
-    g = graph.without_vertices(drop) if drop else graph
-    if not support <= g.vertices:
-        return False
-    deg = {}
-    for p in pattern:
-        for v in p:
-            deg[v] = deg.get(v, 0) + 1
-    verts = set(g.vertices)
-    edges = dict(g.edges)
-    fresh_v = max(verts, default=0) + 1
-    fresh_e = max(edges, default=0) + 1
-    copies = {v: [v] for v in deg}
-    for v in sorted(v for v, d in deg.items() if d == 2):
-        w = fresh_v
-        fresh_v += 1
-        verts.add(w)
-        for eid, (a, c) in g.edges.items():
-            if a == v or c == v:
-                edges[fresh_e] = (w if a == v else a, w if c == v else c)
-                fresh_e += 1
-        copies[v].append(w)
-    used = dict.fromkeys(deg, 0)
-    pairs = []
-    for p in sorted(pattern, key=sorted):
-        a, c = sorted(p)
-        pairs.append((copies[a][used[a]], copies[c][used[c]]))
-        used[a] += 1
-        used[c] += 1
-    incident = {x: [] for x in verts}
-    for eid, (a, c) in edges.items():
-        incident[a].append(eid)
-        if c != a:
-            incident[c].append(eid)
-        else:
-            incident[a].append(eid)
-    rotation = {x: tuple(sorted(incident[x])) for x in verts}
-    gq = EmbeddedGraph(verts, edges, rotation)
-    return solve_disjoint_paths(gq, pairs)
-
-
-def _pattern_profile(graph, boundary):
-    """The set of feasible crossing patterns.  Feasibility is monotone
-    under dropping a pair, so a pattern is only queried when all its
-    one-pair-smaller subpatterns passed."""
-    feas = set()
-    for pattern in all_patterns(boundary):
-        if pattern and any(pattern - {e} not in feas for e in pattern):
-            continue
-        if _pattern_query(graph, boundary, pattern):
-            feas.add(pattern)
-    return frozenset(feas)
-
-
 @dataclass(frozen=True)
 class LinkageProfile:
     boundary: frozenset
     feasible_dp: frozenset
     feasible_mc: frozenset
     feasible_cycle: frozenset
+
+
+@functools.lru_cache(maxsize=None)
+def _closings(k):
+    """The matchings that close k paths, the i-th with ends 2i and 2i + 1,
+    into one cycle."""
+    ends = frozenset(frozenset((2 * i, 2 * i + 1)) for i in range(k))
+    return tuple(m for m in all_matchings(range(2 * k)) if _merge(ends, m) == (frozenset(), 1))
 
 
 def linkage_profile(graph, boundary, td=None):
@@ -324,74 +228,42 @@ def linkage_profile(graph, boundary, td=None):
     first set because a loop may run straight through a boundary vertex
     inside the part, consuming it without stopping; the cycle set matters
     when an entire loop fits inside the part, which no path pattern can
-    express."""
-    B = sorted(set(boundary))
+    express.
+
+    All three are read off one boundary run of the path DP, which lists
+    the sets of boundary-to-boundary segments the graph holds.  Spliced
+    at their shared ends, the segments of a set form paths and cycles, a
+    loop segment or a doubled pair counting as a cycle.  A set with no
+    cycle is a crossing pattern, and a matching on its path ends is
+    feasible when it closes the paths into one cycle.  A set that forms
+    one cycle and no path puts every non-empty subset of its vertices on
+    a cycle."""
+    B = frozenset(boundary)
     if len(B) > BOUNDARY_LIMIT:
         raise BoundaryTooLarge(f"boundary of {len(B)} is over {BOUNDARY_LIMIT}")
-    if not set(B) <= graph.vertices:
-        raise UnknownVertex(f"boundary vertices {sorted(set(B) - graph.vertices)}")
-    if td is None:
-        td = build(graph)
-    fdp = _pattern_profile(graph, B)
-    fmc = set()
-    for m in all_matchings(B):
-        pairs = sorted(tuple(sorted(p)) for p in m)
-        if solve_m_cycle(graph, B, pairs, td):
-            fmc.add(m)
-    fcy = set()
-    for r in range(1, len(B) + 1):
-        for combo in itertools.combinations(B, r):
-            if solve_t_cycle(graph, set(combo), td) is not None:
-                fcy.add(frozenset(combo))
-    return LinkageProfile(
-        frozenset(B), frozenset(fdp), frozenset(fmc), frozenset(fcy)
-    )
-
-
-def _profile_matches(graph, boundary, target):
-    """linkage_profile(graph, boundary) == target, with early exit on the
-    first disagreement.  Candidate filtering only; accepted replacements
-    are re-verified with full profiles."""
-    B = sorted(set(boundary))
-    if frozenset(B) != target.boundary:
-        return False
-    if len(graph.vertices) <= 10:
-        # tiny candidates: sweep every simple cycle directly, which skips
-        # the decomposition build that dominates the search loop
-        fcy = set()
-        bset = set(B)
-        for c in all_cycles(graph):
-            on = frozenset(
-                v for eid in c for v in graph.edges[eid][:2] if v in bset
-            )
-            if on:
-                for r in range(1, len(on) + 1):
-                    fcy.update(map(frozenset, itertools.combinations(on, r)))
-        if fcy != set(target.feasible_cycle):
-            return False
-        td = build(graph)
-    else:
-        td = build(graph)
-        for r in range(1, len(B) + 1):
-            for combo in itertools.combinations(B, r):
-                has = solve_t_cycle(graph, set(combo), td) is not None
-                if has != (frozenset(combo) in target.feasible_cycle):
-                    return False
-    feas = set()
-    for pattern in all_patterns(B):
-        if pattern and any(pattern - {e} not in feas for e in pattern):
-            has = False
-        else:
-            has = _pattern_query(graph, B, pattern)
-            if has:
-                feas.add(pattern)
-        if has != (pattern in target.feasible_dp):
-            return False
-    for m in all_matchings(B):
-        pairs = sorted(tuple(sorted(p)) for p in m)
-        if solve_m_cycle(graph, B, pairs, td) != (m in target.feasible_mc):
-            return False
-    return True
+    if not B <= graph.vertices:
+        raise UnknownVertex(f"boundary vertices {sorted(B - graph.vertices)}")
+    fdp, fmc, fcy = set(), {frozenset()}, set()
+    closing = {}  # path ends -> the matchings that close them into one cycle
+    for segments in boundary_linkages(graph, B, td):
+        ends, cycles = frozenset(), 0
+        for segment in segments:
+            ends, closed = _merge(ends, (segment,))
+            cycles += closed
+        if not cycles:
+            fdp.add(frozenset(map(frozenset, segments)))
+            if ends not in closing:
+                label = [v for p in ends for v in p]
+                closing[ends] = [
+                    frozenset(frozenset((label[a], label[b])) for a, b in m)
+                    for m in _closings(len(ends))
+                ]
+            fmc.update(closing[ends])
+        elif cycles == 1 and not ends:
+            on = sorted({v for s in segments for v in s})
+            for r in range(1, len(on) + 1):
+                fcy.update(map(frozenset, itertools.combinations(on, r)))
+    return LinkageProfile(B, frozenset(fdp), frozenset(fmc), frozenset(fcy))
 
 
 # -- replacement search -----------------------------------------------------
@@ -540,7 +412,7 @@ def replacement_search(protrusion, boundary, size_budget=None, candidate_cap=600
                 if not nx.check_planarity(Gx)[0]:
                     continue
                 H = _as_embedded(nodes, combo)
-                if not _profile_matches(H, B, target):
+                if linkage_profile(H, B) != target:
                     continue
                 if not brute_minor(protrusion, H):
                     continue
@@ -577,7 +449,7 @@ def contraction_replacement(protrusion, boundary, max_interior=6):
     for H, branch in candidates:
         if len(H.vertices) >= len(protrusion.vertices):
             continue
-        if not _profile_matches(H, B, target):
+        if linkage_profile(H, B) != target:
             continue
         return H, {
             "old_size": len(protrusion.vertices),
@@ -991,8 +863,8 @@ def kernelize(
                 except (BoundaryTooLarge, BudgetExceeded):
                     found = None
             small = len(pgraph.vertices) <= MINOR_HOST_LIMIT
-            # mid-size parts cap the boundary harder: the pattern count
-            # (and with it the profile cost) grows seven-fold per vertex
+            # mid-size parts cap the boundary harder: the segment sets that
+            # the profile's DP run keeps grow steeply with the boundary
             mid = (
                 len(pgraph.vertices) <= CONTRACTION_SIZE_LIMIT
                 and len(sub_b) <= SEARCH_BOUNDARY_LIMIT - 1

@@ -14,7 +14,6 @@ from .errors import (
     ParseError,
     VertexSubtreeDisconnected,
 )
-from .graph import radial_bfs
 
 
 class TreeDecomposition:
@@ -138,45 +137,22 @@ def _greedy_fill(graph):
     return order, bags
 
 
-def build(graph, mode="greedy"):
-    """A validated tree decomposition of graph.
-
-    greedy: min-fill elimination.  radial: BFS layers of the vertex-face
-    incidence graph from the outer face, bagging consecutive layer triples
-    (width tied to the radial depth, path-shaped tree).
-    """
+def build(graph):
+    """A validated tree decomposition of graph, from min-fill elimination."""
     if not graph.vertices:
-        td = TreeDecomposition({0: frozenset()}, [])
-        return td
-    if mode == "greedy":
-        order, elim_bags = _greedy_fill(graph)
-        n = len(order)
-        index = {v: i for i, v in enumerate(order)}
-        links = []
-        for i in range(n - 1):
-            rest = elim_bags[i] - {order[i]}
-            if rest:
-                j = min(index[v] for v in rest)
-            else:
-                j = i + 1
-            links.append((i, j))
-        td = TreeDecomposition(dict(enumerate(elim_bags)), links)
-    elif mode == "radial":
-        emb = graph.embedding()
-        sources = set()
-        for comp in set(emb.component_of.values()):
-            sources |= emb.faces[emb.outer_faces[comp]].vertices
-        # components that are a single vertex have an empty outer walk
-        sources |= {v for v in graph.vertices if graph.degree(v) == 0}
-        dist = radial_bfs(graph, sorted(sources), emb)
-        top = max(dist.values())
-        bags = {}
-        for i in range(max(1, top - 1)):
-            bags[i] = frozenset(v for v, d in dist.items() if i <= d <= i + 2)
-        links = [(i, i + 1) for i in range(len(bags) - 1)]
-        td = TreeDecomposition(bags, links)
-    else:
-        raise InvalidDecomposition(f"unknown build mode {mode!r}")
+        return TreeDecomposition({0: frozenset()}, [])
+    order, elim_bags = _greedy_fill(graph)
+    n = len(order)
+    index = {v: i for i, v in enumerate(order)}
+    links = []
+    for i in range(n - 1):
+        rest = elim_bags[i] - {order[i]}
+        if rest:
+            j = min(index[v] for v in rest)
+        else:
+            j = i + 1
+        links.append((i, j))
+    td =TreeDecomposition(dict(enumerate(elim_bags)), links)
     td.validate(graph)
     return td
 

@@ -394,3 +394,52 @@ def test_check_config_fuzzed_records_end_in_an_exit_code(text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         assert main(["check-config", path]) in (0, 1, 2)
+
+
+_families = st.sampled_from(["nested-rings", "grid-with-terminals", "random-planar", "concentric-gadget"])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _families,
+    st.fixed_dictionaries(
+        {
+            "--depth": st.integers(-2, 6),
+            "--ring-size": st.integers(-2, 8),
+            "--rows": st.integers(-2, 8),
+            "--cols": st.integers(-2, 8),
+            "--n": st.integers(-2, 30),
+            "--k": st.integers(-2, 12),
+            "--seed": st.integers(-(2**70), 2**70),
+        }
+    ),
+    st.booleans(),
+)
+def test_gen_fuzzed_numbers_end_in_an_exit_code(family, numbers, stilts):
+    # sizes are capped so that every generated graph stays small
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["gen", family, "-o", os.path.join(tmp, "g.txt")]
+        for flag, value in numbers.items():
+            argv += [flag, str(value)]
+        assert main(argv + ["--stilts"] * stilts) in (0, 1, 2)
+
+
+_oracle_graphs = (
+    generate.grid(3, 3, terminals={1, 9}),
+    generate.nested_rings(2, ring_size=4, terminals={1}),
+    generate.ring(5),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(_oracle_graphs),
+    st.integers(-3, 14),
+    st.integers(-3, 6),
+    st.lists(st.integers(-2, 14), min_size=1, max_size=7),
+)
+def test_oracle_fuzzed_numbers_end_in_an_exit_code(graph, vertex, level, ends):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_instance(os.path.join(tmp, "in.txt"), graph)
+        assert main(["oracle", "isolation", path, str(vertex), str(level)]) in (0, 1, 2)
+        assert main(["oracle", "disjoint-paths", path, *map(str, ends)]) in (0, 1, 2)

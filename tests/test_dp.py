@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tcycle import dp, generate
 from tcycle.dp import (
     _prepare,
+    boundary_linkages,
     solve_disjoint_paths,
     solve_m_cycle,
     solve_t_cycle,
@@ -86,14 +87,13 @@ def test_star_center_consumed():
     assert solve_disjoint_paths(g, [(1, 2)])
 
 
-def test_decomposition_independence():
+def test_decomposition_independence(min_degree_td):
     for seed in (2, 9, 21):
         g = generate.random_planar(12, seed=seed)
         rng = random.Random(seed)
         T = set(rng.sample(sorted(g.vertices), 3))
         answers = {
-            solve_t_cycle(g, T, build(g, mode=m)) is None
-            for m in ("greedy", "radial")
+            solve_t_cycle(g, T, td) is None for td in (build(g), min_degree_td(g))
         }
         assert len(answers) == 1
 
@@ -103,6 +103,18 @@ def test_invalid_decomposition_rejected():
     other = build(generate.path_graph(3))
     with pytest.raises(InvalidDecomposition):
         solve_t_cycle(g, {1, 2}, other)
+
+
+def test_boundary_linkages_small_cases():
+    # a path passes through its middle only when that is not a boundary vertex
+    assert boundary_linkages(generate.path_graph(3), {1, 3}) == {(), ((1, 3),)}
+    assert boundary_linkages(generate.path_graph(3), {1, 2, 3}) == {
+        (), ((1, 2),), ((2, 3),), ((1, 2), (2, 3)),
+    }
+    # the two arcs of a ring are two segments between the same ends, and a
+    # ring through one boundary vertex is a segment from it back to it
+    assert boundary_linkages(generate.ring(4), {1, 3}) == {(), ((1, 3),), ((1, 3), (1, 3))}
+    assert boundary_linkages(generate.ring(4), {2}) == {(), ((2, 2),)}
 
 
 def test_subdivided_instance_shape():
@@ -193,9 +205,9 @@ def assignment_graphs():
         yield generate.nested_rings(rings, ring_size=size, spoke_every=spoke)
 
 
-def test_prepare_assignment_matches_naive_reference():
+def test_prepare_assignment_matches_naive_reference(min_degree_td):
     for g in assignment_graphs():
-        for td in (None, build(g, mode="radial"), make_nice(build(g))):
+        for td in (None, min_degree_td(g), make_nice(build(g))):
             nice, assign = _prepare(g, td)
             assert assign == naive_assign(g, nice)
 

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from tcycle import generate
+from tcycle import generate, kernel
 from tcycle.cycles import is_isolated
-from tcycle.dp import solve_t_cycle
+from tcycle.dp import solve_disjoint_paths, solve_m_cycle, solve_t_cycle
 from tcycle.errors import (
     BoundaryTooLarge,
     BudgetExceeded,
@@ -12,7 +13,9 @@ from tcycle.errors import (
     ModulatorInvalid,
     SpliceError,
 )
+from tcycle.graph import EmbeddedGraph
 from tcycle.kernel import (
+    LinkageProfile,
     _linkage_irrelevant_sweep,
     all_matchings,
     contraction_replacement,
@@ -25,6 +28,7 @@ from tcycle.kernel import (
     verify_minor_map,
 )
 from tcycle.oracle import brute_t_cycle
+from tcycle.treewidth import build
 
 
 def edge_graph(u, v):
@@ -296,3 +300,163 @@ def test_linkage_sweep_equals_per_vertex_reference():
             assert got == ref_linkage_sweep(g, part, boundary, threshold)
             swept += len(got)
     assert swept > 0
+
+
+# -- the profile as it was computed before: one DP per pattern, matching
+# -- and boundary subset, kept as the reference for the one-pass profile
+
+
+def ref_patterns(boundary):
+    """Every way a simple cycle can cross the boundary: pair sets with each
+    vertex in at most two pairs and no cycle, by pair count."""
+    vs = sorted(boundary)
+    pairs = list(itertools.combinations(vs, 2))
+    for m in range(len(vs) + 1):
+        for combo in itertools.combinations(pairs, m):
+            root = {v: v for v in vs}
+            deg = dict.fromkeys(vs, 0)
+            ok = True
+            for a, c in combo:
+                deg[a] += 1
+                deg[c] += 1
+                while root[a] != a:
+                    a = root[a]
+                while root[c] != c:
+                    c = root[c]
+                if a == c or max(deg.values()) > 2:
+                    ok = False
+                    break
+                root[a] = c
+            if ok:
+                yield frozenset(map(frozenset, combo))
+
+
+def ref_pattern_query(graph, boundary, pattern):
+    """True iff disjoint paths realize every pair of the pattern, together
+    meeting the boundary exactly in the pattern's vertices.  A vertex in two
+    pairs is split into two copies with duplicated incidences, copied from
+    the edges split so far, so that an edge between two such vertices also
+    joins their copies."""
+    support = {v for p in pattern for v in p}
+    drop = set(boundary) - support
+    g = graph.without_vertices(drop) if drop else graph
+    deg = {}
+    for p in pattern:
+        for v in p:
+            deg[v] = deg.get(v, 0) + 1
+    verts = set(g.vertices)
+    edges = dict(g.edges)
+    fresh_v = max(verts, default=0) + 1
+    fresh_e = max(edges, default=0) + 1
+    copies = {v: [v] for v in deg}
+    for v in sorted(v for v, d in deg.items() if d == 2):
+        w = fresh_v
+        fresh_v += 1
+        verts.add(w)
+        for a, c in list(edges.values()):
+            if a == v or c == v:
+                edges[fresh_e] = (w if a == v else a, w if c == v else c)
+                fresh_e += 1
+        copies[v].append(w)
+    used = dict.fromkeys(deg, 0)
+    pairs = []
+    for p in sorted(pattern, key=sorted):
+        a, c = sorted(p)
+        pairs.append((copies[a][used[a]], copies[c][used[c]]))
+        used[a] += 1
+        used[c] += 1
+    incident = {x: [] for x in verts}
+    for eid, (a, c) in edges.items():
+        incident[a].append(eid)
+        incident[c].append(eid)
+    rotation = {x: tuple(sorted(incident[x])) for x in verts}
+    return solve_disjoint_paths(EmbeddedGraph(verts, edges, rotation), pairs)
+
+
+def ref_linkage_profile(graph, boundary):
+    """The profile by one disjoint-paths solve per crossing pattern (only
+    where every one-pair-smaller pattern passed, as feasibility is monotone
+    under dropping a pair), one M-cycle solve per matching and one T-Cycle
+    solve per boundary subset."""
+    B = sorted(boundary)
+    td = build(graph)
+    fdp = set()
+    for pattern in ref_patterns(B):
+        if pattern and any(pattern - {p} not in fdp for p in pattern):
+            continue
+        if ref_pattern_query(graph, B, pattern):
+            fdp.add(pattern)
+    fmc = {
+        m
+        for m in all_matchings(B)
+        if solve_m_cycle(graph, B, sorted(tuple(sorted(p)) for p in m), td)
+    }
+    fcy = {
+        frozenset(combo)
+        for r in range(1, len(B) + 1)
+        for combo in itertools.combinations(B, r)
+        if solve_t_cycle(graph, set(combo), td) is not None
+    }
+    return LinkageProfile(frozenset(B), frozenset(fdp), frozenset(fmc), frozenset(fcy))
+
+
+def relabelled(profile, sigma):
+    def pairs(m):
+        return frozenset(frozenset(map(sigma.get, p)) for p in m)
+
+    return LinkageProfile(
+        frozenset(map(sigma.get, profile.boundary)),
+        frozenset(map(pairs, profile.feasible_dp)),
+        frozenset(map(pairs, profile.feasible_mc)),
+        frozenset(frozenset(map(sigma.get, s)) for s in profile.feasible_cycle),
+    )
+
+
+def test_profile_does_not_depend_on_vertex_labels():
+    # the path 1-3-4-2 and its relabelling 3-1-2-4: in both, the two middle
+    # vertices are adjacent and both can be passed through
+    import networkx as nx
+
+    first = generate.from_networkx_planar(nx.Graph([(1, 3), (3, 4), (4, 2)]))
+    second = generate.from_networkx_planar(nx.Graph([(3, 1), (1, 2), (2, 4)]))
+    sigma = {1: 3, 3: 1, 4: 2, 2: 4}
+    p = linkage_profile(first, {1, 2, 3, 4})
+    q = linkage_profile(second, {1, 2, 3, 4})
+    assert relabelled(p, sigma) == q
+    # the whole path, passing through both middle vertices, is a pattern
+    assert frozenset({frozenset({1, 3}), frozenset({3, 4}), frozenset({4, 2})}) in p.feasible_dp
+    assert len(p.feasible_dp) == len(q.feasible_dp) == 8
+
+
+def test_profile_matches_reference_with_boundary_edges():
+    rng = random.Random(6006)
+    graphs = bb = 0
+    for seed in range(320):
+        g = generate.random_planar(rng.randrange(4, 10), seed=seed + 7000)
+        B = rng.sample(sorted(g.vertices), min(len(g.vertices), rng.randrange(2, 6)))
+        bb += any(u in B and v in B for u, v in g.edges.values())
+        assert linkage_profile(g, B) == ref_linkage_profile(g, B), (seed, B)
+        graphs += 1
+    assert graphs >= 300 and bb >= 250
+
+
+def test_profile_matches_reference_on_kernelize_calls(monkeypatch):
+    # every (graph, boundary) that kernelize profiles on the first seeds of
+    # criterion 8's small random family
+    calls = []
+    one_pass = kernel.linkage_profile
+
+    def recorded(graph, boundary, td=None):
+        calls.append((graph, frozenset(boundary)))
+        return one_pass(graph, boundary, td)
+
+    monkeypatch.setattr(kernel, "linkage_profile", recorded)
+    for seed in range(25):
+        rng = random.Random(seed + 120_000)
+        n = rng.randrange(8, 15)
+        g = generate.random_planar(n, seed=seed + 120_000)
+        T = set(rng.sample(sorted(g.vertices), rng.randrange(1, 6)))
+        kernelize(g.with_terminals(T))
+    assert len(calls) >= 100
+    for graph, B in calls:
+        assert one_pass(graph, B) == ref_linkage_profile(graph, B)

@@ -79,15 +79,14 @@ def test_build_grid_width():
     assert w <= 7
 
 
-def test_build_radial_mode():
+def test_min_degree_decomposition_is_a_second_valid_shape(min_degree_td):
     for g in (generate.grid(4, 5), generate.nested_rings(4)):
-        td = build(g, mode="radial")
+        td = min_degree_td(g)
         td.validate(g)
-    with pytest.raises(InvalidDecomposition):
-        build(generate.ring(3), mode="rainbow")
+        assert td.bags != build(g).bags
 
 
-def test_build_disconnected():
+def test_build_disconnected(min_degree_td):
     g = generate.ring(3)
     from tcycle.graph import EmbeddedGraph
 
@@ -96,8 +95,8 @@ def test_build_disconnected():
         {**g.edges, 99: (7, 8)},
         {**g.rotation, 7: (99,), 8: (99,)},
     )
-    for mode in ("greedy", "radial"):
-        build(h, mode=mode).validate(h)
+    for td in (build(h), min_degree_td(h)):
+        td.validate(h)
 
 
 def test_make_nice_single_empty_bag():
