@@ -118,6 +118,10 @@ def cmd_kernelize(args):
                 "stages": [list(s) for s in report.stages],
                 "replacements": replacements,
                 "kept_verbatim": report.kept_verbatim,
+                "fates": [
+                    {"fate": fate, "size": size, "boundary": b}
+                    for fate, size, b in report.fates
+                ],
             },
         )
     return 0

@@ -12,8 +12,11 @@ it, so the root table lists each set of boundary-to-boundary segments
 the part holds.  Crossing patterns, closing matchings and cycle-covered
 boundary subsets all follow from those segment sets, and comparing a
 candidate with its target is one profile computation and an equality
-test.  Every swap is certified twice: the replacement must be a minor of
-the part it replaces, and the profiles must be equal.
+test.  Each part's profile is computed once and shared by the search, the
+contraction and the final check.  Every swap is certified before it is
+made: the replacement's own profile must equal the part's, and the branch
+sets that the search or the contraction returns must pass an independent
+minor-model check.
 """
 
 import functools
@@ -101,8 +104,12 @@ def protrusion_decompose(graph, modulator, eta, td=None):
         raise UnknownVertex(f"modulator vertices {sorted(S - graph.vertices)}")
     rest = graph.subgraph(graph.vertices - S)
     if td is None:
+        # build validates the decomposition it returns
         td = build(rest)
-    if td.validate(rest) > eta:
+        width = td.width
+    else:
+        width = td.validate(rest)
+    if width > eta:
         raise ModulatorInvalid(
             f"graph minus modulator has width above {eta}"
         )
@@ -318,16 +325,20 @@ def _as_embedded(nodes, edge_pairs):
     return from_networkx_planar(Gx)
 
 
-def replacement_search(protrusion, boundary, size_budget=None, candidate_cap=60000):
+def replacement_search(
+    protrusion, boundary, size_budget=None, candidate_cap=60000, target=None
+):
     """Smallest graph with the protrusion's boundary profile that is also a
     minor of it, or None if nothing smaller than the protrusion passes.
 
     Candidates are enumerated by vertex count, then edge count, then edge
     set; the boundary vertices keep their identities, extra vertices are
-    fresh.  Raises BudgetExceeded when the space is too big to finish.
+    fresh.  target is the protrusion's profile, computed here when not
+    given.  The certificate's branch sets map each vertex of the result to
+    the protrusion vertices it stands for; the minor is unrooted, so a
+    boundary vertex need not lie in its own branch set.  Raises
+    BudgetExceeded when the space is too big to finish.
     """
-    import networkx as nx
-
     B = sorted(set(boundary))
     if len(B) > SEARCH_BOUNDARY_LIMIT:
         raise BoundaryTooLarge(f"boundary of {len(B)} is over {SEARCH_BOUNDARY_LIMIT}")
@@ -339,7 +350,8 @@ def replacement_search(protrusion, boundary, size_budget=None, candidate_cap=600
     size_budget = min(size_budget, n_part - 1)
     if size_budget < len(B):
         return None
-    target = linkage_profile(protrusion, B)
+    if target is None:
+        target = linkage_profile(protrusion, B)
     # degree lower bounds every viable candidate must meet: a boundary
     # vertex on some feasible cycle or passed through by some feasible
     # pattern needs two edges, one touched by any pattern or matching
@@ -406,31 +418,32 @@ def replacement_search(protrusion, boundary, size_budget=None, candidate_cap=600
                     continue
                 if not _cycle_sets_match(nodes, combo, B, target):
                     continue
-                Gx = nx.Graph()
-                Gx.add_nodes_from(nodes)
-                Gx.add_edges_from(combo)
-                if not nx.check_planarity(Gx)[0]:
+                try:
+                    H = _as_embedded(nodes, combo)
+                except TCycleError:  # not planar
                     continue
-                H = _as_embedded(nodes, combo)
                 if linkage_profile(H, B) != target:
                     continue
-                if not brute_minor(protrusion, H):
+                branch = brute_minor(protrusion, H)
+                if branch is None:
                     continue
                 return H, {
                     "candidates": tried,
                     "old_size": n_part,
                     "new_size": n_h,
+                    "branch_sets": branch,
                 }
     return None
 
 
-def contraction_replacement(protrusion, boundary, max_interior=6):
+def contraction_replacement(protrusion, boundary, max_interior=6, target=None):
     """A smaller profile-equal graph obtained by contracting the interior.
 
     Unlike the exhaustive search this scales to protrusions of any size:
     the result is a minor by construction, certified by explicit branch
     sets.  Interior vertices are contracted farthest-from-the-boundary
     first; the least contracted graph whose profile still matches wins.
+    target is the protrusion's profile, computed here when not given.
     Returns None when every contraction level changes the profile.
     """
     B = sorted(set(boundary))
@@ -439,7 +452,8 @@ def contraction_replacement(protrusion, boundary, max_interior=6):
     interior = sorted(protrusion.vertices - set(B))
     if not interior:
         return None
-    target = linkage_profile(protrusion, B)
+    if target is None:
+        target = linkage_profile(protrusion, B)
     candidates = []
     top = min(max_interior, len(interior) - 1)
     for m in range(top + 1):
@@ -620,12 +634,21 @@ def _rim_quotients(protrusion, boundary, cap=4):
 
 
 def verify_minor_map(host, pattern, branch):
+    """Independent check that branch sets witness pattern as a rooted minor
+    of host: a minor model in which each pattern vertex lies in its own
+    branch set."""
+    if any(p not in vs for p, vs in branch.items()):
+        return False
+    return is_minor_model(host, pattern, branch)
+
+
+def is_minor_model(host, pattern, branch):
     """Independent check that branch sets witness pattern as a minor of
-    host: disjoint connected sets, one per pattern vertex containing it,
-    and a host edge behind every pattern edge."""
+    host: one set per pattern vertex, disjoint, non-empty and connected in
+    host, and a host edge behind every pattern edge."""
     seen = set()
     for p, vs in branch.items():
-        if p not in pattern.vertices or p not in vs:
+        if p not in pattern.vertices or not vs:
             return False
         if not vs <= host.vertices or vs & seen:
             return False
@@ -748,11 +771,20 @@ def part_graph(graph, part, boundary):
 
 @dataclass
 class KernelReport:
+    """What kernelize did.  fates holds one (fate, part size, boundary
+    size) entry per part it tried to replace, the part size counting the
+    boundary.  A part is replaced by "search" or "contraction"; it is
+    kept when it is "too-big" to try, when the search hit its
+    "budget-exceeded" and contraction found nothing, when nothing smaller
+    passed ("no-smaller-candidate"), or when the final check "rejected"
+    the replacement.  kept_verbatim counts the kept parts."""
+
     input_size: int
     final_size: int = 0
     stages: list = field(default_factory=list)
     replacements: list = field(default_factory=list)
     kept_verbatim: int = 0
+    fates: list = field(default_factory=list)
 
 
 def _linkage_irrelevant_sweep(graph, part, boundary, threshold):
@@ -774,6 +806,45 @@ def _linkage_irrelevant_sweep(graph, part, boundary, threshold):
         pg = pg.without_vertices(far)
 
 
+def _replace_part(pgraph, boundary, search, contract, candidate_cap):
+    """The part's fate, and a certified smaller replacement for it as
+    (graph, certificate) or None when it is kept.  search and contract say
+    which methods may run; the search goes first.  The part's profile is
+    computed once and shared by both methods and the final check."""
+    if not (search or contract):
+        return "too-big", None
+    target = linkage_profile(pgraph, boundary)
+    found, kept = None, "no-smaller-candidate"
+    if search:
+        try:
+            found = replacement_search(
+                pgraph, boundary, candidate_cap=candidate_cap, target=target
+            )
+            method = "search"
+        except BudgetExceeded:
+            kept = "budget-exceeded"
+    if found is None and contract:
+        found = contraction_replacement(pgraph, boundary, target=target)
+        method = "contraction"
+    if found is None:
+        return kept, None
+    H, certificate = found
+    # re-verify independently of how the candidate was found: H's own
+    # profile, and the branch sets by a model check that shares no code
+    # with the search or the contraction.  The search's minor is unrooted,
+    # its extra vertices being fresh ids.
+    check = verify_minor_map if method == "contraction" else is_minor_model
+    if not (
+        len(H.vertices) < len(pgraph.vertices)
+        and linkage_profile(H, boundary) == target
+        and check(pgraph, H, certificate["branch_sets"])
+    ):
+        return "rejected", None
+    certificate["method"] = method
+    certificate["verified"] = True
+    return method, found
+
+
 def kernelize(
     graph,
     terminals=None,
@@ -791,7 +862,7 @@ def kernelize(
     stage 3 deletes interior vertices isolated from its boundary, stage 4
     splits the rest into subprotrusions, and stage 5 swaps each for the
     smallest certified equivalent.  Any part that is too big to certify
-    is kept verbatim.
+    is kept verbatim; report.fates says what became of each part.
     """
     T = set(graph.terminals if terminals is None else terminals)
     if not T:
@@ -849,47 +920,20 @@ def kernelize(
             if not sub:
                 continue
             pgraph = part_graph(kernel, sub, sub_b)
-            found = None
-            method = None
-            if (
-                len(sub_b) <= boundary_cap
-                and len(pgraph.vertices) <= MINOR_HOST_LIMIT
-            ):
-                try:
-                    found = replacement_search(
-                        pgraph, sub_b, candidate_cap=candidate_cap
-                    )
-                    method = "search"
-                except (BoundaryTooLarge, BudgetExceeded):
-                    found = None
-            small = len(pgraph.vertices) <= MINOR_HOST_LIMIT
+            n = len(pgraph.vertices)
+            small = n <= MINOR_HOST_LIMIT
+            search = small and len(sub_b) <= min(boundary_cap, SEARCH_BOUNDARY_LIMIT)
             # mid-size parts cap the boundary harder: the segment sets that
             # the profile's DP run keeps grow steeply with the boundary
-            mid = (
-                len(pgraph.vertices) <= CONTRACTION_SIZE_LIMIT
-                and len(sub_b) <= SEARCH_BOUNDARY_LIMIT - 1
-            )
-            if found is None and len(sub_b) <= BOUNDARY_LIMIT and (small or mid):
-                found = contraction_replacement(pgraph, sub_b)
-                method = "contraction"
+            mid = n <= CONTRACTION_SIZE_LIMIT and len(sub_b) <= SEARCH_BOUNDARY_LIMIT - 1
+            contract = len(sub_b) <= BOUNDARY_LIMIT and (small or mid)
+            fate, found = _replace_part(pgraph, sub_b, search, contract, candidate_cap)
+            report.fates.append((fate, n, len(sub_b)))
             if found is None:
                 report.kept_verbatim += 1
                 continue
             H, certificate = found
-            # re-verify independently of how the candidate was found
-            ok = linkage_profile(H, sub_b) == linkage_profile(pgraph, sub_b)
-            if method == "contraction":
-                ok = ok and verify_minor_map(
-                    pgraph, H, certificate["branch_sets"]
-                )
-            else:
-                ok = ok and brute_minor(pgraph, H)
-            if not ok or len(H.vertices) >= len(pgraph.vertices):
-                report.kept_verbatim += 1
-                continue
             kernel = splice(kernel, sub | sub_b, H, sub_b)
-            certificate["method"] = method
-            certificate["verified"] = True
             report.replacements.append(certificate)
 
     report.final_size = len(kernel.vertices)

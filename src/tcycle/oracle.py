@@ -213,7 +213,7 @@ def _connected_subsets(adjmask, nodes, size_cap, budget):
             out.append(mask)
             if len(out) > budget:
                 raise SizeLimitExceeded("minor search budget exhausted")
-            if bin(mask).count("1") >= size_cap:
+            if mask.bit_count() >= size_cap:
                 continue
             f = frontier
             while f:
@@ -229,9 +229,16 @@ def _connected_subsets(adjmask, nodes, size_cap, budget):
 
 
 def brute_minor(host, pattern):
-    """Is pattern a minor of host?  Both are EmbeddedGraphs (only their
-    abstract structure is used).  Exhaustive for |V(host)| <= 18 and
-    |V(pattern)| <= 8."""
+    """Branch sets witnessing pattern as a minor of host, or None.
+
+    Both are EmbeddedGraphs (only their abstract structure is used).  The
+    result maps each pattern vertex to a frozenset of host vertices; a
+    pattern with no vertices gives {}, so test the result with `is not
+    None`.  Connected subsets are generated one size at a time, and a
+    size only once the search has tried every smaller subset, so a model
+    with small branch sets never lists the large ones.  Candidates are
+    tried smallest first, and the first model found is returned.
+    Exhaustive for |V(host)| <= 18 and |V(pattern)| <= 8."""
     hv = sorted(host.vertices)
     pv = sorted(pattern.vertices)
     if len(hv) > MINOR_HOST_LIMIT:
@@ -239,7 +246,7 @@ def brute_minor(host, pattern):
     if len(pv) > MINOR_PATTERN_LIMIT:
         raise SizeLimitExceeded(f"pattern larger than {MINOR_PATTERN_LIMIT}")
     if len(pv) > len(hv):
-        return False
+        return None
     hidx = {v: i for i, v in enumerate(hv)}
     adjmask = [0] * len(hv)
     for u, v in host.edges.values():
@@ -254,19 +261,38 @@ def brute_minor(host, pattern):
             padj[u].add(v)
             padj[v].add(u)
             pedges.add(frozenset((u, v)))
-    if sum(1 for _ in pedges) > len(host.edges):
-        return False
+    if len(pedges) > len(host.edges):
+        return None
     size_cap = len(hv) - len(pv) + 1
-    subsets = _connected_subsets(adjmask, hv, size_cap, budget=2_000_000)
+
+    # subsets holds the levels generated so far, smallest size first; the
+    # size-s level is the size-s part of the subsets up to size s, in the
+    # order _connected_subsets lists them, so the search sees the same
+    # sequence as over the full size-sorted list
+    subsets = []
     nbr = {}
-    for mask in subsets:
-        m, acc = mask, 0
-        while m:
-            low = m & -m
-            m ^= low
-            acc |= adjmask[low.bit_length() - 1]
-        nbr[mask] = acc & ~mask
-    subsets.sort(key=lambda m: bin(m).count("1"))
+    level = 0
+
+    def grow():
+        """Append the next level; False once the size cap is reached."""
+        nonlocal level
+        if level == size_cap:
+            return False
+        level += 1
+        fresh = [
+            m
+            for m in _connected_subsets(adjmask, hv, level, budget=2_000_000)
+            if m.bit_count() == level
+        ]
+        for mask in fresh:
+            m, acc = mask, 0
+            while m:
+                low = m & -m
+                m ^= low
+                acc |= adjmask[low.bit_length() - 1]
+            nbr[mask] = acc & ~mask
+        subsets.extend(fresh)
+        return True
 
     # order pattern vertices so each (after the first in its component)
     # has an earlier neighbor
@@ -294,19 +320,28 @@ def brute_minor(host, pattern):
         p = order[i]
         earlier = [assigned[pos[q]] for q in padj[p] if pos[q] < i]
         remaining_after = len(order) - i - 1
-        for mask in subsets:
-            if mask & used:
-                continue
-            if len(hv) - bin(used | mask).count("1") < remaining_after:
-                continue
-            if any(not (nbr[mask] & em) for em in earlier):
-                continue
-            assigned[i] = mask
-            if place(i + 1, used | mask):
-                return True
+        done = 0
+        while done < len(subsets) or grow():
+            batch = subsets[done:]
+            done += len(batch)
+            for mask in batch:
+                if mask & used:
+                    continue
+                if len(hv) - (used | mask).bit_count() < remaining_after:
+                    continue
+                if any(not (nbr[mask] & em) for em in earlier):
+                    continue
+                assigned[i] = mask
+                if place(i + 1, used | mask):
+                    return True
         return False
 
-    return place(0, 0)
+    if not place(0, 0):
+        return None
+    return {
+        p: frozenset(hv[j] for j in range(len(hv)) if assigned[i] >> j & 1)
+        for i, p in enumerate(order)
+    }
 
 
 # -- isolation by concentric cycles ----------------------------------------

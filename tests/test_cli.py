@@ -84,6 +84,11 @@ def test_kernelize_then_solve_matches(tmp_path, capsys):
         assert payload["final_size"] <= payload["input_size"]
         for cert in payload["replacements"]:
             assert cert["verified"] and cert["new_size"] < cert["old_size"]
+            assert cert["branch_sets"]
+        fates = [f["fate"] for f in payload["fates"]]
+        kept = [f for f in fates if f not in ("search", "contraction")]
+        assert len(fates) - len(kept) == len(payload["replacements"])
+        assert len(kept) == payload["kept_verbatim"]
     capsys.readouterr()
 
 

@@ -241,6 +241,35 @@ def test_kernelize_preserves_answers():
         assert (brute_t_cycle(k, k.terminals) is None) == (
             brute_t_cycle(g, T) is None
         ), (seed, sorted(T))
+        assert_fates_add_up(report)
+
+
+def assert_fates_add_up(report):
+    replaced = [f for f, _, _ in report.fates if f in ("search", "contraction")]
+    assert len(replaced) == len(report.replacements)
+    assert report.kept_verbatim == len(report.fates) - len(replaced)
+    assert [c["method"] for c in report.replacements] == replaced
+
+
+def test_kernelize_rejects_tampered_search_certificate(monkeypatch):
+    g = generate.grid(3, 4, terminals={1, 12})
+    k, report = kernelize(g)
+    assert report.fates == [("search", 12, 2)]
+    assert len(k.vertices) == 3
+    honest = kernel.replacement_search
+
+    def tampered(*args, **kwargs):
+        H, cert = honest(*args, **kwargs)
+        # two pattern vertices now share a host vertex
+        first, second = sorted(cert["branch_sets"])[:2]
+        cert["branch_sets"][second] |= cert["branch_sets"][first]
+        return H, cert
+
+    monkeypatch.setattr(kernel, "replacement_search", tampered)
+    k, report = kernelize(g)
+    assert report.fates == [("rejected", 12, 2)]
+    assert report.replacements == [] and report.kept_verbatim == 1
+    assert k.vertices == g.vertices
 
 
 def test_kernelize_shrinks_long_appendage():
@@ -451,7 +480,7 @@ def test_profile_matches_reference_on_kernelize_calls(monkeypatch):
         return one_pass(graph, boundary, td)
 
     monkeypatch.setattr(kernel, "linkage_profile", recorded)
-    for seed in range(25):
+    for seed in range(40):
         rng = random.Random(seed + 120_000)
         n = rng.randrange(8, 15)
         g = generate.random_planar(n, seed=seed + 120_000)

@@ -1,9 +1,15 @@
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
 from tcycle import generate
 from tcycle.errors import InvalidConfiguration, SizeLimitExceeded
 from tcycle.graph import EmbeddedGraph
+from tcycle.kernel import is_minor_model
 from tcycle.oracle import (
+    _connected_subsets,
     IsolationOracle,
     all_cycles,
     brute_disjoint_paths,
@@ -88,13 +94,11 @@ def test_disjoint_paths_interior_avoids_endpoints():
 def test_minor_basics():
     c6 = generate.ring(6)
     tri = generate.ring(3)
-    assert brute_minor(c6, tri)
-    assert not brute_minor(tri, c6)
+    assert brute_minor(c6, tri) is not None
+    assert brute_minor(tri, c6) is None
     g = generate.grid(3, 3)
-    import networkx as nx
-
     k4 = generate.from_networkx_planar(nx.complete_graph([1, 2, 3, 4]))
-    assert brute_minor(g, k4)
+    assert is_minor_model(g, k4, brute_minor(g, k4))
     k5 = EmbeddedGraph(
         set(range(5)),
         {i * 5 + j: (i, j) for i in range(5) for j in range(i + 1, 5)},
@@ -103,13 +107,131 @@ def test_minor_basics():
             for v in range(5)
         },
     )
-    assert not brute_minor(g, k5)
+    assert brute_minor(g, k5) is None
 
 
 def test_minor_isolated_pattern_vertices():
     g = generate.grid(2, 3)
     pat = EmbeddedGraph({1, 2, 3}, {1: (1, 2)}, {1: (1,), 2: (1,)})
-    assert brute_minor(g, pat)
+    assert is_minor_model(g, pat, brute_minor(g, pat))
+    assert brute_minor(g, EmbeddedGraph(set(), {}, {})) == {}
+
+
+def ref_brute_minor(host, pattern):
+    """The eager form of brute_minor, kept as its reference: every
+    connected subset up to the size cap is listed up front and sorted by
+    size.  Returns the first assignment it finds, or None."""
+    hv = sorted(host.vertices)
+    pv = sorted(pattern.vertices)
+    if len(pv) > len(hv):
+        return None
+    hidx = {v: i for i, v in enumerate(hv)}
+    adjmask = [0] * len(hv)
+    for u, v in host.edges.values():
+        if u != v:
+            adjmask[hidx[u]] |= 1 << hidx[v]
+            adjmask[hidx[v]] |= 1 << hidx[u]
+    padj = {v: set() for v in pv}
+    pedges = set()
+    for u, v in pattern.edges.values():
+        if u != v:
+            padj[u].add(v)
+            padj[v].add(u)
+            pedges.add(frozenset((u, v)))
+    if sum(1 for _ in pedges) > len(host.edges):
+        return None
+    size_cap = len(hv) - len(pv) + 1
+    subsets = _connected_subsets(adjmask, hv, size_cap, budget=2_000_000)
+    nbr = {}
+    for mask in subsets:
+        m, acc = mask, 0
+        while m:
+            low = m & -m
+            m ^= low
+            acc |= adjmask[low.bit_length() - 1]
+        nbr[mask] = acc & ~mask
+    subsets.sort(key=lambda m: bin(m).count("1"))
+    order = []
+    placed = set()
+    for root in pv:
+        if root in placed:
+            continue
+        queue = [root]
+        placed.add(root)
+        while queue:
+            x = queue.pop(0)
+            order.append(x)
+            for y in sorted(padj[x]):
+                if y not in placed:
+                    placed.add(y)
+                    queue.append(y)
+    pos = {p: i for i, p in enumerate(order)}
+    assigned = [0] * len(order)
+
+    def place(i, used):
+        if i == len(order):
+            return True
+        p = order[i]
+        earlier = [assigned[pos[q]] for q in padj[p] if pos[q] < i]
+        remaining_after = len(order) - i - 1
+        for mask in subsets:
+            if mask & used:
+                continue
+            if len(hv) - bin(used | mask).count("1") < remaining_after:
+                continue
+            if any(not (nbr[mask] & em) for em in earlier):
+                continue
+            assigned[i] = mask
+            if place(i + 1, used | mask):
+                return True
+        return False
+
+    if not place(0, 0):
+        return None
+    return {
+        p: frozenset(v for j, v in enumerate(hv) if assigned[i] >> j & 1)
+        for i, p in enumerate(order)
+    }
+
+
+def minor_cases():
+    """Seeded (host, pattern) pairs: random planar, grid, ring and path
+    hosts, and random planar patterns of up to six vertices, some of them
+    isolated."""
+    rng = random.Random(4242)
+    hosts = [generate.random_planar(rng.randrange(4, 12), seed=s + 9000) for s in range(60)]
+    hosts += [generate.grid(2, 4), generate.grid(3, 3), generate.ring(7), generate.path_graph(8)]
+    # sparse hosts, where dense patterns make the search run dry
+    for s in range(24):
+        tree = nx.Graph((v, rng.randrange(1, v)) for v in range(2, rng.randrange(6, 11)))
+        if s % 2:
+            tree.add_edge(1, max(tree))
+        hosts.append(generate.from_networkx_planar(tree))
+    for i in range(560):
+        host = hosts[i % len(hosts)]
+        k = rng.randrange(0, 7)
+        labels = rng.sample(range(1, 40), k)
+        pairs = list(itertools.combinations(labels, 2))
+        gx = nx.Graph()
+        gx.add_nodes_from(labels)
+        gx.add_edges_from(p for p in pairs if rng.random() < rng.choice((0.3, 0.6, 0.9)))
+        if not nx.check_planarity(gx)[0]:
+            continue
+        yield host, generate.from_networkx_planar(gx)
+
+
+def test_lazy_minor_search_matches_reference():
+    cases = searched_no = isolated = 0
+    for host, pattern in minor_cases():
+        got = brute_minor(host, pattern)
+        assert got == ref_brute_minor(host, pattern)
+        if got is not None:
+            assert is_minor_model(host, pattern, got)
+        elif len(pattern.vertices) <= len(host.vertices) and len(pattern.edges) <= len(host.edges):
+            searched_no += 1  # a NO that the size tests do not settle
+        cases += 1
+        isolated += any(not pattern.neighbors(v) for v in pattern.vertices)
+    assert cases >= 500 and searched_no >= 30 and isolated >= 100, (cases, searched_no, isolated)
 
 
 def test_isolation_nested_rings():
