@@ -126,8 +126,8 @@ def _radial_path(graph, sources, targets, emb=None, allowed=None):
 
 def cut_reduction(inst):
     """Merge the two radially closest holes along a shortest connecting
-    curve; the curve's vertices join the merged boundary.  Strictly lowers
-    the hole count."""
+    curve; the curve's vertices join the merged boundary.  Returns the
+    merged instance, which has one hole fewer."""
     if inst.hole_count < 3:
         raise HoleCountError("cut reduction needs at least three holes")
     emb = inst.graph.embedding()
@@ -143,7 +143,7 @@ def cut_reduction(inst):
     merged = inst.holes[i] | inst.holes[j] | frozenset(path)
     holes = [h for idx, h in enumerate(inst.holes) if idx not in (i, j)]
     holes.append(merged)
-    return [PuncturedInstance(inst.graph, holes)], frozenset()
+    return PuncturedInstance(inst.graph, holes)
 
 
 def layer_partition(inst, emb=None):
@@ -234,11 +234,10 @@ def remove_two_punctured(inst, budget):
 @dataclass
 class RemovalReport:
     """What the pipeline deleted and why: (vertex, reason, threshold)
-    entries, the surviving boundary set U, and the final pieces."""
+    entries, and the surviving boundary set U."""
 
     removed: list
     boundary: frozenset
-    pieces: list
 
 
 def reed_pipeline(graph, terminals=None, budget=None):
@@ -259,7 +258,7 @@ def reed_pipeline(graph, terminals=None, budget=None):
     if len(holding) != 1:
         # terminals split across components: no loop exists, and no deletion
         # here comes with an isolation witness, so leave the graph alone
-        return graph, frozenset(T), RemovalReport([], frozenset(T), [])
+        return graph, frozenset(T), RemovalReport([], frozenset(T))
     removed = []
     outside = graph.vertices - holding[0]
     for v in sorted(outside):
@@ -268,46 +267,34 @@ def reed_pipeline(graph, terminals=None, budget=None):
 
     inst = initial_punctures(work, T)
     while inst.hole_count >= 3:
-        (inst,), _ = cut_reduction(inst)
-    pieces = [inst]
+        inst = cut_reduction(inst)
 
     # radial distance is symmetric, so one BFS from T decides isolation
     # from T for every boundary vertex (tested in the original graph)
     dist = radial_bfs(graph, sorted(T))
-    surviving = []
-    for piece in pieces:
-        iso = {v for v in piece.boundary if dist.get(v, g + 1) > g}
-        for v in sorted(iso):
-            removed.append((v, "isolated-boundary", g))
-        if iso >= piece.boundary:
-            for v in sorted(piece.graph.vertices - iso):
-                removed.append((v, "piece-discarded", g))
-            continue
-        holes = [h - iso for h in piece.holes if h - iso]
-        surviving.append(
-            PuncturedInstance(piece.graph.without_vertices(iso), holes)
-        )
-
-    final = []
-    for piece in surviving:
-        before = piece.graph.vertices
+    iso = {v for v in inst.boundary if dist.get(v, g + 1) > g}
+    for v in sorted(iso):
+        removed.append((v, "isolated-boundary", g))
+    U = frozenset()
+    if iso >= inst.boundary:
+        for v in sorted(inst.graph.vertices - iso):
+            removed.append((v, "piece-discarded", g))
+    else:
+        holes = [h - iso for h in inst.holes if h - iso]
+        piece = PuncturedInstance(inst.graph.without_vertices(iso), holes)
         if piece.hole_count == 1:
             after = remove_one_punctured(piece, budget)
             reason = "deep-one-hole"
         else:
             after = remove_two_punctured(piece, budget)
             reason = "deep-two-hole"
-        for v in sorted(before - after.vertices):
+        for v in sorted(piece.graph.vertices - after.vertices):
             removed.append((v, reason, g))
-        holes = [h & after.vertices for h in piece.holes]
-        final.append(PuncturedInstance(after, [h for h in holes if h]))
+        U = piece.boundary & after.vertices
 
     drop = {v for v, _, _ in removed}
     out = graph.without_vertices(drop)
-    U = frozenset()
-    for piece in final:
-        U |= piece.boundary
-    return out, U, RemovalReport(removed, U, final)
+    return out, U, RemovalReport(removed, U)
 
 
 def quadratic_remover(graph, terminals=None, budget=None):

@@ -32,24 +32,39 @@ def from_coordinates(points, edges, terminals=(), outer_hint=None):
     return EmbeddedGraph(set(points), edges, rotation, terminals, outer_hint)
 
 
-def from_networkx_planar(G, terminals=(), outer_hint=None):
-    """Embed an abstract planar simple graph via a planarity test."""
+def embed_planar(vertices, edges, terminals=(), outer_hint=None):
+    """Embed a planar multigraph via a planarity test.
+
+    vertices: a collection of vertex ids; edges: eid -> (u, v).  Parallel
+    edges are nested (their order is reversed at one endpoint).  Raises
+    TCycleError when the graph is not planar.
+    """
     import networkx as nx
 
-    ok, emb = nx.check_planarity(G)
+    Gx = nx.Graph()
+    Gx.add_nodes_from(vertices)
+    Gx.add_edges_from(edges.values())
+    ok, emb = nx.check_planarity(Gx)
     if not ok:
         raise TCycleError("graph is not planar")
-    eids = {}
-    for i, (u, v) in enumerate(sorted(tuple(sorted(e)) for e in G.edges()), start=1):
-        eids[frozenset((u, v))] = i
-    edges = {i: tuple(sorted(pair)) for pair, i in eids.items()}
+    by_pair = {}
+    for eid in sorted(edges):
+        by_pair.setdefault(frozenset(edges[eid]), []).append(eid)
     rotation = {}
-    for v in G.nodes():
-        if G.degree(v) == 0:
-            continue
-        order = list(emb.neighbors_cw_order(v))
-        rotation[v] = tuple(eids[frozenset((v, w))] for w in order)
-    return EmbeddedGraph(set(G.nodes()), edges, rotation, terminals, outer_hint)
+    for v in Gx:
+        rot = []
+        for w in emb.neighbors_cw_order(v):
+            ids = by_pair[frozenset((v, w))]
+            rot.extend(ids if v < w else reversed(ids))
+        rotation[v] = tuple(rot)
+    return EmbeddedGraph(set(vertices), edges, rotation, terminals, outer_hint)
+
+
+def from_networkx_planar(G, terminals=(), outer_hint=None):
+    """Embed an abstract planar simple graph via a planarity test; edge ids
+    number the sorted vertex pairs from 1."""
+    pairs = sorted(tuple(sorted(e)) for e in G.edges())
+    return embed_planar(list(G), dict(enumerate(pairs, 1)), terminals, outer_hint)
 
 
 def path_graph(n, terminals=()):

@@ -23,7 +23,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .decomposition import IsolationBudget, isolation_threshold, reed_pipeline
+from .decomposition import isolation_threshold, reed_pipeline
 # solve_t_cycle stays reachable here: perfbench traces kernel.solve_t_cycle
 from .dp import _merge, boundary_linkages, solve_t_cycle  # noqa: F401
 from .errors import (
@@ -35,14 +35,15 @@ from .errors import (
     TCycleError,
     UnknownVertex,
 )
-from .graph import EmbeddedGraph, radial_bfs
+from .generate import embed_planar
+from .graph import radial_bfs
 from .oracle import brute_minor
 from .treewidth import build, lca_closure, make_nice
 
 BOUNDARY_LIMIT = 6
-SEARCH_BOUNDARY_LIMIT = 6
 MINOR_HOST_LIMIT = 18
 CONTRACTION_SIZE_LIMIT = 60
+CONTRACTED_INTERIOR_LIMIT = 6
 
 
 # -- protrusion decomposition ----------------------------------------------
@@ -314,20 +315,7 @@ def _cycle_sets_match(nodes, edges, boundary, target):
     return full == allowed
 
 
-def _as_embedded(nodes, edge_pairs):
-    import networkx as nx
-
-    Gx = nx.Graph()
-    Gx.add_nodes_from(nodes)
-    Gx.add_edges_from(edge_pairs)
-    from .generate import from_networkx_planar
-
-    return from_networkx_planar(Gx)
-
-
-def replacement_search(
-    protrusion, boundary, size_budget=None, candidate_cap=60000, target=None
-):
+def replacement_search(protrusion, boundary, candidate_cap=60000, target=None):
     """Smallest graph with the protrusion's boundary profile that is also a
     minor of it, or None if nothing smaller than the protrusion passes.
 
@@ -340,15 +328,12 @@ def replacement_search(
     BudgetExceeded when the space is too big to finish.
     """
     B = sorted(set(boundary))
-    if len(B) > SEARCH_BOUNDARY_LIMIT:
-        raise BoundaryTooLarge(f"boundary of {len(B)} is over {SEARCH_BOUNDARY_LIMIT}")
+    if len(B) > BOUNDARY_LIMIT:
+        raise BoundaryTooLarge(f"boundary of {len(B)} is over {BOUNDARY_LIMIT}")
     n_part = len(protrusion.vertices)
     if n_part > MINOR_HOST_LIMIT:
         raise BudgetExceeded("protrusion too large to certify a replacement")
-    if size_budget is None:
-        size_budget = n_part - 1
-    size_budget = min(size_budget, n_part - 1)
-    if size_budget < len(B):
+    if n_part - 1 < len(B):
         return None
     if target is None:
         target = linkage_profile(protrusion, B)
@@ -380,14 +365,12 @@ def replacement_search(
     together = [tuple(s) for s in together]
     fresh_base = max(list(protrusion.vertices) + [0]) + 1
     tried = 0
-    for n_h in range(len(B), size_budget + 1):
+    for n_h in range(len(B), n_part):
         extras = list(range(fresh_base, fresh_base + n_h - len(B)))
         nodes = B + extras
         min_deg = {v: 2 if v in on_cycle else 1 if v in on_path else 0 for v in B}
         min_deg.update(dict.fromkeys(extras, 2))
-        pairs = [
-            (a, b) for a, b in itertools.combinations(nodes, 2)
-        ]
+        pairs = list(itertools.combinations(nodes, 2))
         space = 2 ** len(pairs)
         if tried + space > candidate_cap:
             raise BudgetExceeded(
@@ -419,7 +402,8 @@ def replacement_search(
                 if not _cycle_sets_match(nodes, combo, B, target):
                     continue
                 try:
-                    H = _as_embedded(nodes, combo)
+                    # nodes are sorted, so combo lists its pairs in order
+                    H = embed_planar(nodes, dict(enumerate(combo, 1)))
                 except TCycleError:  # not planar
                     continue
                 if linkage_profile(H, B) != target:
@@ -436,15 +420,17 @@ def replacement_search(
     return None
 
 
-def contraction_replacement(protrusion, boundary, max_interior=6, target=None):
+def contraction_replacement(protrusion, boundary, target=None):
     """A smaller profile-equal graph obtained by contracting the interior.
 
     Unlike the exhaustive search this scales to protrusions of any size:
     the result is a minor by construction, certified by explicit branch
-    sets.  Interior vertices are contracted farthest-from-the-boundary
-    first; the least contracted graph whose profile still matches wins.
-    target is the protrusion's profile, computed here when not given.
-    Returns None when every contraction level changes the profile.
+    sets.  The candidates are the levels of one farthest-first contraction
+    of the interior, down to at most CONTRACTED_INTERIOR_LIMIT interior
+    vertices, and the rim quotients; the smallest whose profile still
+    matches wins, the levels first on ties.  target is the protrusion's
+    profile, computed here when not given.  Returns None when every
+    candidate changes the profile.
     """
     B = sorted(set(boundary))
     if len(B) > BOUNDARY_LIMIT:
@@ -454,11 +440,9 @@ def contraction_replacement(protrusion, boundary, max_interior=6, target=None):
         return None
     if target is None:
         target = linkage_profile(protrusion, B)
-    candidates = []
-    top = min(max_interior, len(interior) - 1)
-    for m in range(top + 1):
-        candidates.append(_contract_to(protrusion, B, m))
-    candidates.extend(_rim_quotients(protrusion, B))
+    top = min(CONTRACTED_INTERIOR_LIMIT, len(interior) - 1)
+    levels = [_quotient(protrusion, rep) for rep in _contraction_levels(protrusion, B, top)]
+    candidates = [q for q in levels if q is not None] + _rim_quotients(protrusion, B)
     candidates.sort(key=lambda hb: (len(hb[0].vertices), len(hb[0].edges)))
     for H, branch in candidates:
         if len(H.vertices) >= len(protrusion.vertices):
@@ -473,35 +457,29 @@ def contraction_replacement(protrusion, boundary, max_interior=6, target=None):
     return None
 
 
-def _contract_to(protrusion, boundary, m):
-    """Contract interior vertices into nearer neighbors until at most m
-    remain; returns the contracted multigraph and its branch sets.
+def _contraction_levels(protrusion, boundary, top):
+    """Rep maps (vertex -> surviving vertex) of one farthest-first
+    contraction, taken when top, ..., 0 interior vertices remain and
+    returned fewest-first.
 
-    Parallel edges are kept (capped at two per pair): collapsing them
-    would lose the difference between one and two disjoint routes, which
-    the cycle part of the profile can see."""
-    mult = {}
+    Each step removes the interior vertex farthest from the boundary,
+    merging it into its nearest neighbor.  A vertex with no neighbor left
+    ends an interior piece with no route to the boundary: it is deleted,
+    and the vertices of its class leave the rep map."""
     adj = {v: set() for v in protrusion.vertices}
     for u, v in protrusion.edges.values():
-        if u == v:
-            continue
-        pair = frozenset((u, v))
-        mult[pair] = min(2, mult.get(pair, 0) + 1)
-        adj[u].add(v)
-        adj[v].add(u)
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
     Bs = set(boundary)
-    branch = {v: {v} for v in adj}
-
-    def remove_vertex(v):
-        for w in adj[v]:
-            adj[w].discard(v)
-            mult.pop(frozenset((v, w)), None)
-        del adj[v]
-
+    rep = {v: v for v in adj}
+    levels = []
     while True:
         interior = [v for v in adj if v not in Bs]
-        if len(interior) <= m:
-            break
+        if len(interior) <= top:
+            levels.append(dict(rep))
+            if not interior:
+                return levels[::-1]
         dist = {b: 0 for b in Bs}
         frontier = sorted(Bs)
         d = 0
@@ -516,57 +494,43 @@ def _contract_to(protrusion, boundary, m):
             frontier = sorted(nxt)
         far = 10 ** 9
         v = max(interior, key=lambda x: (dist.get(x, far), x))
-        if not adj[v]:
-            # interior piece with no route to the boundary: delete it
-            remove_vertex(v)
-            del branch[v]
+        nbrs = adj.pop(v)
+        for w in nbrs:
+            adj[w].discard(v)
+        if not nbrs:
+            rep = {x: r for x, r in rep.items() if r != v}
             continue
-        u = min(adj[v], key=lambda x: (dist.get(x, far), x))
-        moved = {}
-        for w in adj[v]:
-            if w != u:
-                moved[w] = mult[frozenset((v, w))]
-        remove_vertex(v)
-        for w, count in moved.items():
-            pair = frozenset((u, w))
-            mult[pair] = min(2, mult.get(pair, 0) + count)
+        u = min(nbrs, key=lambda x: (dist.get(x, far), x))
+        for w in nbrs - {u}:
             adj[u].add(w)
             adj[w].add(u)
-        branch[u] |= branch.pop(v)
-    edges = {}
-    eid = 1
-    for pair in sorted(mult, key=sorted):
-        u, v = sorted(pair)
-        for _ in range(mult[pair]):
-            edges[eid] = (u, v)
-            eid += 1
-    H = _reembed(set(adj), edges, frozenset())
-    return H, {v: frozenset(s) for v, s in branch.items()}
+        rep = {x: (u if r == v else r) for x, r in rep.items()}
 
 
 def _quotient(protrusion, rep):
     """Contract each class of the rep map (vertex -> class label) to one
-    vertex; parallel edges capped at two.  Returns (graph, branch sets)."""
+    vertex, dropping the vertices the map omits; returns (graph, branch
+    sets), or None when the quotient is not planar.
+
+    Parallel edges are kept, capped at two per pair: collapsing them would
+    lose the difference between one and two disjoint routes, which the
+    cycle part of the profile can see."""
     classes = {}
     for v in protrusion.vertices:
-        classes.setdefault(rep[v], set()).add(v)
+        if v in rep:
+            classes.setdefault(rep[v], set()).add(v)
     mult = {}
     for u, v in protrusion.edges.values():
-        ru, rv = rep[u], rep[v]
-        if ru == rv:
-            continue
-        pair = frozenset((ru, rv))
-        mult[pair] = min(2, mult.get(pair, 0) + 1)
+        if u in rep and v in rep and rep[u] != rep[v]:
+            pair = tuple(sorted((rep[u], rep[v])))
+            mult[pair] = mult.get(pair, 0) + 1
     edges = {}
-    eid = 1
-    for pair in sorted(mult, key=sorted):
-        a, b = sorted(pair)
-        for _ in range(mult[pair]):
-            edges[eid] = (a, b)
-            eid += 1
+    for pair in sorted(mult):
+        for _ in range(min(2, mult[pair])):
+            edges[len(edges) + 1] = pair
     try:
-        H = _reembed(set(classes), edges, frozenset())
-    except SpliceError:
+        H = embed_planar(set(classes), edges)
+    except TCycleError:
         return None
     return H, {r: frozenset(vs) for r, vs in classes.items()}
 
@@ -685,35 +649,6 @@ def is_minor_model(host, pattern, branch):
 # -- splicing ---------------------------------------------------------------
 
 
-def _reembed(vertices, edges, terminals):
-    """Rebuild rotations for a planar multigraph via a planarity test;
-    parallel edges are nested (their order is reversed at one endpoint)."""
-    import networkx as nx
-
-    Gx = nx.Graph()
-    Gx.add_nodes_from(vertices)
-    for u, v in edges.values():
-        Gx.add_edge(u, v)
-    ok, emb = nx.check_planarity(Gx)
-    if not ok:
-        raise SpliceError("spliced graph is not planar")
-    by_pair = {}
-    for eid in sorted(edges):
-        u, v = edges[eid]
-        by_pair.setdefault(frozenset((u, v)), []).append(eid)
-    rotation = {}
-    for v in vertices:
-        if Gx.degree(v) == 0:
-            rotation[v] = ()
-            continue
-        rot = []
-        for w in emb.neighbors_cw_order(v):
-            ids = by_pair[frozenset((v, w))]
-            rot.extend(ids if v < w else reversed(ids))
-        rotation[v] = tuple(rot)
-    return EmbeddedGraph(set(vertices), dict(edges), rotation, terminals)
-
-
 def splice(host, part, replacement, boundary):
     """Replace the interior of part (everything off the boundary) with the
     replacement graph; the result is re-embedded and re-validated."""
@@ -746,8 +681,8 @@ def splice(host, part, replacement, boundary):
         u, v = replacement.edges[old]
         edges[eid] = tuple(sorted((relabel[u], relabel[v])))
         eid += 1
-    out = _reembed(vertices, edges, host.terminals & vertices)
     try:
+        out = embed_planar(vertices, edges, host.terminals & vertices)
         out.embedding()
     except TCycleError as exc:
         raise SpliceError(str(exc)) from exc
@@ -806,7 +741,7 @@ def _linkage_irrelevant_sweep(graph, part, boundary, threshold):
         pg = pg.without_vertices(far)
 
 
-def _replace_part(pgraph, boundary, search, contract, candidate_cap):
+def _replace_part(pgraph, boundary, search, contract):
     """The part's fate, and a certified smaller replacement for it as
     (graph, certificate) or None when it is kept.  search and contract say
     which methods may run; the search goes first.  The part's profile is
@@ -817,9 +752,7 @@ def _replace_part(pgraph, boundary, search, contract, candidate_cap):
     found, kept = None, "no-smaller-candidate"
     if search:
         try:
-            found = replacement_search(
-                pgraph, boundary, candidate_cap=candidate_cap, target=target
-            )
+            found = replacement_search(pgraph, boundary, target=target)
             method = "search"
         except BudgetExceeded:
             kept = "budget-exceeded"
@@ -845,16 +778,7 @@ def _replace_part(pgraph, boundary, search, contract, candidate_cap):
     return method, found
 
 
-def kernelize(
-    graph,
-    terminals=None,
-    budget=None,
-    level=2,
-    eta1=None,
-    eta2=None,
-    boundary_cap=SEARCH_BOUNDARY_LIMIT,
-    candidate_cap=60000,
-):
+def kernelize(graph, terminals=None, budget=None, level=2):
     """Shrink the instance while preserving the answer exactly.
 
     Stage 1 removes isolated vertices and yields a boundary set U; stage 2
@@ -878,11 +802,9 @@ def kernelize(
     kernel = reduced
 
     S = (U | T) & kernel.vertices
-    if eta1 is None:
-        eta1 = 4 * g0
     try:
-        decomp = protrusion_decompose(kernel, S, eta1)
-    except (ModulatorInvalid, TCycleError):
+        decomp = protrusion_decompose(kernel, S, 4 * g0)
+    except ModulatorInvalid:
         report.stages.append(("protrusions", len(kernel.vertices), len(kernel.vertices)))
         report.final_size = len(kernel.vertices)
         return kernel, report
@@ -902,17 +824,16 @@ def kernelize(
                 report.stages.append(("part-sweep", len(gone) + len(part), len(part)))
             if not part:
                 continue
-            sub_eta = eta2
-            if sub_eta is None:
-                sub_eta = 4 * isolation_threshold(g0 + len(B))
+            pg = part_graph(kernel, part, B)
             try:
-                pg = part_graph(kernel, part, B)
-                nested = protrusion_decompose(pg, B, sub_eta)
+                nested = protrusion_decompose(
+                    pg, B, 4 * isolation_threshold(g0 + len(B))
+                )
                 jobs = [
                     (y & part, yb)
                     for y, yb in zip(nested.parts, nested.boundaries)
                 ]
-            except (ModulatorInvalid, TCycleError):
+            except ModulatorInvalid:
                 jobs = [(part, B)]
         else:
             jobs = [(part, B)]
@@ -922,12 +843,12 @@ def kernelize(
             pgraph = part_graph(kernel, sub, sub_b)
             n = len(pgraph.vertices)
             small = n <= MINOR_HOST_LIMIT
-            search = small and len(sub_b) <= min(boundary_cap, SEARCH_BOUNDARY_LIMIT)
+            search = small and len(sub_b) <= BOUNDARY_LIMIT
             # mid-size parts cap the boundary harder: the segment sets that
             # the profile's DP run keeps grow steeply with the boundary
-            mid = n <= CONTRACTION_SIZE_LIMIT and len(sub_b) <= SEARCH_BOUNDARY_LIMIT - 1
+            mid = n <= CONTRACTION_SIZE_LIMIT and len(sub_b) <= BOUNDARY_LIMIT - 1
             contract = len(sub_b) <= BOUNDARY_LIMIT and (small or mid)
-            fate, found = _replace_part(pgraph, sub_b, search, contract, candidate_cap)
+            fate, found = _replace_part(pgraph, sub_b, search, contract)
             report.fates.append((fate, n, len(sub_b)))
             if found is None:
                 report.kept_verbatim += 1

@@ -92,6 +92,15 @@ def test_kernelize_then_solve_matches(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_kernelize_level_one(tmp_path, capsys):
+    g = generate.random_planar(12, seed=3, k=3)
+    inst = write_instance(tmp_path / "in.txt", g)
+    out = tmp_path / "out.txt"
+    assert main(["kernelize", inst, str(out), "--level", "1"]) == 0
+    assert main(["solve", str(out)]) == main(["solve", inst])
+    capsys.readouterr()
+
+
 def test_kernelize_budget_zero_is_exit_2(tmp_path, capsys):
     inst = write_instance(tmp_path / "in.txt", generate.grid(3, 3, terminals={1, 9}))
     out = tmp_path / "out.txt"

@@ -71,10 +71,7 @@ def test_punctured_instance_checks():
 
 def test_cut_reduction_merges_closest_pair():
     g = generate.ring(6, terminals={1, 2, 4})
-    children, removed = cut_reduction(initial_punctures(g))
-    assert removed == frozenset()
-    assert len(children) == 1
-    child = children[0]
+    child = cut_reduction(initial_punctures(g))
     assert child.hole_count == 2
     # the adjacent pair 1, 2 merges; 4 stays its own hole
     assert frozenset({4}) in child.holes
@@ -88,7 +85,7 @@ def test_cut_reduction_bottoms_out():
     g = generate.grid(3, 4, terminals={1, 4, 9, 12})
     inst = initial_punctures(g)
     while inst.hole_count >= 3:
-        (inst,), _ = cut_reduction(inst)
+        inst = cut_reduction(inst)
     assert inst.hole_count == 2
     assert {1, 4, 9, 12} <= inst.boundary
 
@@ -298,7 +295,7 @@ def test_pipeline_isolated_boundary_equals_per_vertex():
                 continue
             inst = initial_punctures(graph.subgraph(holding[0]), T)
             while inst.hole_count >= 3:
-                (inst,), _ = cut_reduction(inst)
+                inst = cut_reduction(inst)
             want = per_vertex_isolated(graph, T, inst.boundary, g)
             _, _, report = reed_pipeline(graph, budget=IsolationBudget(g))
             got = {v for v, why, _ in report.removed if why == "isolated-boundary"}

@@ -10,13 +10,18 @@ from tcycle.errors import (
     BoundaryTooLarge,
     BudgetExceeded,
     InvalidConfiguration,
+    InvalidDecomposition,
     ModulatorInvalid,
     SpliceError,
+    TCycleError,
 )
 from tcycle.graph import EmbeddedGraph
 from tcycle.kernel import (
+    CONTRACTED_INTERIOR_LIMIT,
     LinkageProfile,
+    _contraction_levels,
     _linkage_irrelevant_sweep,
+    _quotient,
     all_matchings,
     contraction_replacement,
     kernelize,
@@ -272,6 +277,37 @@ def test_kernelize_rejects_tampered_search_certificate(monkeypatch):
     assert k.vertices == g.vertices
 
 
+def test_kernelize_lets_decomposition_faults_through(monkeypatch):
+    # only an invalid modulator means "keep the graph as it is"; any other
+    # error in the protrusion stage is a fault and must surface
+    def broken(*args, **kwargs):
+        raise InvalidDecomposition("bag misses an edge")
+
+    monkeypatch.setattr(kernel, "protrusion_decompose", broken)
+    with pytest.raises(InvalidDecomposition):
+        kernelize(generate.grid(3, 4, terminals={1, 12}))
+
+
+def test_kernelize_level_one_preserves_answers():
+    # level 1 skips the per-part sweep and the nested decomposition
+    replaced = 0
+    for seed in range(30):
+        rng = random.Random(seed + 120_000)
+        g = generate.random_planar(rng.randrange(8, 15), seed=seed + 120_000)
+        T = set(rng.sample(sorted(g.vertices), rng.randrange(1, 6)))
+        g = g.with_terminals(T)
+        k, report = kernelize(g, level=1)
+        assert report.final_size == len(k.vertices) <= len(g.vertices)
+        assert (brute_t_cycle(k, k.terminals) is None) == (
+            brute_t_cycle(g, T) is None
+        ), seed
+        assert all(cert["verified"] for cert in report.replacements)
+        assert not any(stage == "part-sweep" for stage, _, _ in report.stages)
+        assert_fates_add_up(report)
+        replaced += len(report.replacements)
+    assert replaced > 0
+
+
 def test_kernelize_shrinks_long_appendage():
     # a long path hanging off a ring collapses to a stub
     import networkx as nx
@@ -489,3 +525,170 @@ def test_profile_matches_reference_on_kernelize_calls(monkeypatch):
     assert len(calls) >= 100
     for graph, B in calls:
         assert one_pass(graph, B) == ref_linkage_profile(graph, B)
+
+
+# -- contraction and embedding as they were built before: one contraction
+# -- run per level, and a planarity embedding private to the kernel
+
+
+def ref_reembed(vertices, edges, terminals):
+    """Rebuild rotations for a planar multigraph via a planarity test;
+    parallel edges are nested (their order is reversed at one endpoint)."""
+    import networkx as nx
+
+    Gx = nx.Graph()
+    Gx.add_nodes_from(vertices)
+    for u, v in edges.values():
+        Gx.add_edge(u, v)
+    ok, emb = nx.check_planarity(Gx)
+    if not ok:
+        raise SpliceError("spliced graph is not planar")
+    by_pair = {}
+    for eid in sorted(edges):
+        u, v = edges[eid]
+        by_pair.setdefault(frozenset((u, v)), []).append(eid)
+    rotation = {}
+    for v in vertices:
+        if Gx.degree(v) == 0:
+            rotation[v] = ()
+            continue
+        rot = []
+        for w in emb.neighbors_cw_order(v):
+            ids = by_pair[frozenset((v, w))]
+            rot.extend(ids if v < w else reversed(ids))
+        rotation[v] = tuple(rot)
+    return EmbeddedGraph(set(vertices), dict(edges), rotation, terminals)
+
+
+def ref_contract_to(protrusion, boundary, m):
+    """Contract interior vertices into nearer neighbors until at most m
+    remain; returns the contracted multigraph and its branch sets."""
+    mult = {}
+    adj = {v: set() for v in protrusion.vertices}
+    for u, v in protrusion.edges.values():
+        if u == v:
+            continue
+        pair = frozenset((u, v))
+        mult[pair] = min(2, mult.get(pair, 0) + 1)
+        adj[u].add(v)
+        adj[v].add(u)
+    Bs = set(boundary)
+    branch = {v: {v} for v in adj}
+
+    def remove_vertex(v):
+        for w in adj[v]:
+            adj[w].discard(v)
+            mult.pop(frozenset((v, w)), None)
+        del adj[v]
+
+    while True:
+        interior = [v for v in adj if v not in Bs]
+        if len(interior) <= m:
+            break
+        dist = {b: 0 for b in Bs}
+        frontier = sorted(Bs)
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if y not in dist:
+                        dist[y] = d
+                        nxt.append(y)
+            frontier = sorted(nxt)
+        far = 10 ** 9
+        v = max(interior, key=lambda x: (dist.get(x, far), x))
+        if not adj[v]:
+            remove_vertex(v)
+            del branch[v]
+            continue
+        u = min(adj[v], key=lambda x: (dist.get(x, far), x))
+        moved = {}
+        for w in adj[v]:
+            if w != u:
+                moved[w] = mult[frozenset((v, w))]
+        remove_vertex(v)
+        for w, count in moved.items():
+            pair = frozenset((u, w))
+            mult[pair] = min(2, mult.get(pair, 0) + count)
+            adj[u].add(w)
+            adj[w].add(u)
+        branch[u] |= branch.pop(v)
+    edges = {}
+    eid = 1
+    for pair in sorted(mult, key=sorted):
+        u, v = sorted(pair)
+        for _ in range(mult[pair]):
+            edges[eid] = (u, v)
+            eid += 1
+    H = ref_reembed(set(adj), edges, frozenset())
+    return H, {v: frozenset(s) for v, s in branch.items()}
+
+
+def with_parallel_edges(g, rng):
+    """g with some edges doubled or tripled, listed in either orientation
+    under shuffled, gapped edge ids."""
+    pairs = []
+    for u, v in g.edges.values():
+        pairs += [(u, v)] * rng.choice((1, 1, 2, 3))
+    rng.shuffle(pairs)
+    ids = rng.sample(range(1, 4 * len(pairs) + 1), len(pairs))
+    return {eid: (p if rng.random() < 0.5 else p[::-1]) for eid, p in zip(ids, pairs)}
+
+
+def test_contraction_levels_match_per_level_reference():
+    rng = random.Random(8080)
+    parts = levels = deleted = 0
+    for seed in range(220):
+        g = generate.random_planar(rng.randrange(10, 19), seed=seed + 9000)
+        verts = sorted(g.vertices)
+        B = sorted(rng.sample(verts, rng.randrange(1, 6)))
+        if seed % 3 == 0:
+            # cut a few interior vertices so that some interior pieces lose
+            # every route to the boundary
+            cut = rng.sample([v for v in verts if v not in B], 3)
+            g = g.without_vertices(cut)
+        interior = len(g.vertices) - len(B)
+        if seed % 4 == 0:
+            g = generate.embed_planar(g.vertices, with_parallel_edges(g, rng))
+        top = min(CONTRACTED_INTERIOR_LIMIT, interior - 1)
+        reps = _contraction_levels(g, B, top)
+        assert len(reps) == top + 1
+        for m, rep in enumerate(reps):
+            H, branch = _quotient(g, rep)
+            H_ref, branch_ref = ref_contract_to(g, B, m)
+            assert H.vertices == H_ref.vertices, (seed, m)
+            assert H.edges == H_ref.edges, (seed, m)
+            assert branch == branch_ref, (seed, m)
+            deleted += len(g.vertices) > sum(map(len, branch.values()))
+            levels += 1
+        parts += 1
+    assert parts >= 200 and levels >= 1000 and deleted > 0
+
+
+def test_embed_planar_matches_reference_on_multigraphs():
+    import networkx as nx
+
+    rng = random.Random(4242)
+    parallel = 0
+    for seed in range(60):
+        g = generate.random_planar(rng.randrange(4, 16), seed=seed + 5100)
+        edges = with_parallel_edges(g, rng)
+        vertices = set(g.vertices) | {max(g.vertices) + 1}  # one isolated
+        got = generate.embed_planar(vertices, edges, {min(vertices)})
+        want = ref_reembed(vertices, edges, {min(vertices)})
+        assert got.vertices == want.vertices and got.edges == want.edges
+        assert got.rotation == want.rotation, seed
+        assert got.terminals == want.terminals
+        got.embedding()
+        parallel += len(edges) > len(set(map(frozenset, edges.values())))
+    assert parallel > 0
+    k5 = {i: p for i, p in enumerate(itertools.combinations(range(5), 2), 1)}
+    with pytest.raises(TCycleError):
+        generate.embed_planar(range(5), k5)
+    with pytest.raises(SpliceError):
+        ref_reembed(range(5), k5, ())
+    # from_networkx_planar numbers the sorted pairs from 1
+    h = generate.from_networkx_planar(nx.Graph([(3, 1), (2, 1)]))
+    assert h.edges == {1: (1, 2), 2: (1, 3)}
