@@ -97,7 +97,7 @@ def cmd_reduce(args):
 def cmd_kernelize(args):
     g = fileio.load(args.infile)
     budget = IsolationBudget(args.budget) if args.budget is not None else None
-    kernel, report = kernelize(g, budget=budget, level=args.level)
+    kernel, report = kernelize(g, budget=budget)
     fileio.dump(kernel, args.outfile)
     if args.report:
         replacements = []
@@ -221,7 +221,6 @@ def build_parser():
     s.add_argument("infile")
     s.add_argument("outfile")
     s.add_argument("--report", default=None)
-    s.add_argument("--level", type=int, choices=(1, 2), default=2)
     s.add_argument("--budget", type=int, default=None, help="isolation depth")
     s.set_defaults(fn=cmd_kernelize)
 

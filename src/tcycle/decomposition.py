@@ -20,12 +20,12 @@ from .errors import (
 from .graph import radial_bfs
 
 
-def isolation_threshold(k, scale=4, offset=6):
+def isolation_threshold(k):
     """Default isolation depth for an instance with k terminals; grows
     logarithmically in k."""
     if k < 1:
         raise InvalidConfiguration("need at least one terminal")
-    return math.ceil(scale * math.log2(k + 1)) + offset
+    return math.ceil(4 * math.log2(k + 1)) + 6
 
 
 class IsolationBudget:
@@ -38,8 +38,8 @@ class IsolationBudget:
         self.g = g
 
     @classmethod
-    def for_terminals(cls, k, scale=4, offset=6):
-        return cls(isolation_threshold(k, scale, offset))
+    def for_terminals(cls, k):
+        return cls(isolation_threshold(k))
 
     @property
     def annulus(self):

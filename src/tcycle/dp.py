@@ -66,7 +66,7 @@ import logging
 from operator import add
 
 from .errors import InvalidConfiguration, TCycleError
-from .graph import EmbeddedGraph
+from .graph import unembedded
 from .oracle import check_matching, is_t_loop
 from .treewidth import NiceTreeDecomposition, TreeDecomposition, build, make_nice
 
@@ -405,13 +405,7 @@ def subdivided_instance(graph, matching):
         for end in (u, v):
             fresh_e += 1
             edges[fresh_e] = (end, w)
-    incident = {x: [] for x in verts}
-    for eid, (u, v) in edges.items():
-        incident[u].append(eid)
-        incident[v].append(eid)
-    rotation = {x: tuple(sorted(incident[x])) for x in verts}
-    gm = EmbeddedGraph(verts, edges, rotation, frozenset(new_verts))
-    return gm, frozenset(new_verts)
+    return unembedded(verts, edges, new_verts), frozenset(new_verts)
 
 
 def solve_m_cycle(graph, boundary, matching, td=None):

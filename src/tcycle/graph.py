@@ -175,6 +175,18 @@ class EmbeddedGraph:
         return self._emb
 
 
+def unembedded(vertices, edges, terminals=()):
+    """The graph with a placeholder rotation: each vertex lists its
+    incident edge ids in sorted order.  Fit for code that reads no rotation
+    (the DPs, tree decompositions, minor checks), not for face tracing."""
+    incident = {v: [] for v in vertices}
+    for eid, (u, v) in edges.items():
+        incident[u].append(eid)
+        incident[v].append(eid)
+    rotation = {v: sorted(ids) for v, ids in incident.items()}
+    return EmbeddedGraph(vertices, edges, rotation, terminals)
+
+
 class Embedding:
     """Traced faces of an EmbeddedGraph plus incidence lookups."""
 

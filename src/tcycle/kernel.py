@@ -1,5 +1,5 @@
 """Kernelization: protrusion decomposition, linkage profiles, replacement
-search and the assembled pipeline.
+by contraction and the assembled pipeline.
 
 A protrusion is a part of the graph that meets the rest only in a small
 boundary.  Two parts with the same boundary behave identically for loop
@@ -12,10 +12,17 @@ it, so the root table lists each set of boundary-to-boundary segments
 the part holds.  Crossing patterns, closing matchings and cycle-covered
 boundary subsets all follow from those segment sets, and comparing a
 candidate with its target is one profile computation and an equality
-test.  Each part's profile is computed once and shared by the search, the
-contraction and the final check.  Every swap is certified before it is
-made: the replacement's own profile must equal the part's, and the branch
-sets that the search or the contraction returns must pass an independent
+test.
+
+A part is replaced only by contraction.  Its candidates are quotients of
+the part by a vertex-to-class map with connected classes, which may drop
+vertices: the levels of one farthest-first contraction of the interior,
+and the quotients that keep the rim of a face holding the whole boundary.  Each is a minor of
+the part, with its branch sets as the certificate.  The smallest
+candidate with the part's profile wins.  Each part's profile is computed
+once and shared by the contraction and the final check.  Every swap is
+certified before it is made: the replacement's own profile must equal
+the part's, and its branch sets must pass an independent rooted
 minor-model check.
 """
 
@@ -28,7 +35,6 @@ from .decomposition import isolation_threshold, reed_pipeline
 from .dp import _merge, boundary_linkages, solve_t_cycle  # noqa: F401
 from .errors import (
     BoundaryTooLarge,
-    BudgetExceeded,
     InvalidConfiguration,
     ModulatorInvalid,
     SpliceError,
@@ -36,14 +42,14 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import embed_planar
-from .graph import radial_bfs
-from .oracle import brute_minor
+from .graph import radial_bfs, unembedded
 from .treewidth import build, lca_closure, make_nice
 
 BOUNDARY_LIMIT = 6
-MINOR_HOST_LIMIT = 18
+SMALL_PART_LIMIT = 18
 CONTRACTION_SIZE_LIMIT = 60
 CONTRACTED_INTERIOR_LIMIT = 6
+RIM_QUOTIENT_LIMIT = 4
 
 
 # -- protrusion decomposition ----------------------------------------------
@@ -274,161 +280,45 @@ def linkage_profile(graph, boundary, td=None):
     return LinkageProfile(B, frozenset(fdp), frozenset(fmc), frozenset(fcy))
 
 
-# -- replacement search -----------------------------------------------------
+# -- replacement by contraction ---------------------------------------------
 
 
-def _cycle_sets_match(nodes, edges, boundary, target):
-    """Candidate pre-filter: the boundary subsets covered by the candidate's
-    simple cycles equal the target's, computed on a bare adjacency so the
-    search loop never embeds a candidate it is going to reject."""
-    bset = set(boundary)
-    adj = {v: [] for v in nodes}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    order = {v: i for i, v in enumerate(nodes)}
-    allowed = set(target.feasible_cycle)
-    covered = set()
+def replacement_search(pgraph, boundary):
+    """The part's fate, and a certified smaller replacement for it as
+    (graph, certificate), or None when it is kept.
 
-    def sweep(start, cur, visited):
-        for w in adj[cur]:
-            if w == start and len(visited) >= 3:
-                on = frozenset(v for v in visited if v in bset)
-                if on:
-                    if on not in allowed:
-                        return False
-                    covered.add(on)
-            elif order[w] > order[start] and w not in visited:
-                visited.add(w)
-                if not sweep(start, w, visited):
-                    return False
-                visited.remove(w)
-        return True
-
-    for s in nodes:
-        if not sweep(s, s, {s}):
-            return False
-    full = set()
-    for on in covered:
-        for r in range(1, len(on) + 1):
-            full.update(map(frozenset, itertools.combinations(on, r)))
-    return full == allowed
-
-
-def replacement_search(protrusion, boundary, candidate_cap=60000, target=None):
-    """Smallest graph with the protrusion's boundary profile that is also a
-    minor of it, or None if nothing smaller than the protrusion passes.
-
-    Candidates are enumerated by vertex count, then edge count, then edge
-    set; the boundary vertices keep their identities, extra vertices are
-    fresh.  target is the protrusion's profile, computed here when not
-    given.  The certificate's branch sets map each vertex of the result to
-    the protrusion vertices it stands for; the minor is unrooted, so a
-    boundary vertex need not lie in its own branch set.  Raises
-    BudgetExceeded when the space is too big to finish.
-    """
-    B = sorted(set(boundary))
-    if len(B) > BOUNDARY_LIMIT:
-        raise BoundaryTooLarge(f"boundary of {len(B)} is over {BOUNDARY_LIMIT}")
-    n_part = len(protrusion.vertices)
-    if n_part > MINOR_HOST_LIMIT:
-        raise BudgetExceeded("protrusion too large to certify a replacement")
-    if n_part - 1 < len(B):
-        return None
-    if target is None:
-        target = linkage_profile(protrusion, B)
-    # degree lower bounds every viable candidate must meet: a boundary
-    # vertex on some feasible cycle or passed through by some feasible
-    # pattern needs two edges, one touched by any pattern or matching
-    # needs at least one.  Extras always need two: a pendant extra sits
-    # on no cycle and no path interior, so dropping it gives an
-    # equal-profile candidate already tried at a smaller size.
-    on_cycle = {v for s in target.feasible_cycle for v in s}
-    for mm in target.feasible_dp:
-        pdeg = {}
-        for p in mm:
-            for v in p:
-                pdeg[v] = pdeg.get(v, 0) + 1
-        on_cycle.update(v for v, c in pdeg.items() if c == 2)
-    on_path = {
-        v
-        for fs in (target.feasible_dp, target.feasible_mc)
-        for mm in fs
-        for p in mm
-        for v in p
-    }
-    # vertex groups any viable candidate must keep connected
-    together = {frozenset(s) for s in target.feasible_cycle if len(s) > 1}
-    for fs in (target.feasible_dp, target.feasible_mc):
-        for mm in fs:
-            together.update(p for p in mm)
-    together = [tuple(s) for s in together]
-    fresh_base = max(list(protrusion.vertices) + [0]) + 1
-    tried = 0
-    for n_h in range(len(B), n_part):
-        extras = list(range(fresh_base, fresh_base + n_h - len(B)))
-        nodes = B + extras
-        min_deg = {v: 2 if v in on_cycle else 1 if v in on_path else 0 for v in B}
-        min_deg.update(dict.fromkeys(extras, 2))
-        pairs = list(itertools.combinations(nodes, 2))
-        space = 2 ** len(pairs)
-        if tried + space > candidate_cap:
-            raise BudgetExceeded(
-                f"{space} candidates at {n_h} vertices is over the cap"
-            )
-        for m in range(len(pairs) + 1):
-            for combo in itertools.combinations(pairs, m):
-                tried += 1
-                deg = dict.fromkeys(nodes, 0)
-                for a, b in combo:
-                    deg[a] += 1
-                    deg[b] += 1
-                if any(deg[v] < need for v, need in min_deg.items()):
-                    continue
-                root = {v: v for v in nodes}
-
-                def find(v):
-                    while root[v] != v:
-                        root[v] = root[root[v]]
-                        v = root[v]
-                    return v
-
-                for a, b in combo:
-                    root[find(a)] = find(b)
-                if any(
-                    len({find(v) for v in grp}) > 1 for grp in together
-                ):
-                    continue
-                if not _cycle_sets_match(nodes, combo, B, target):
-                    continue
-                try:
-                    # nodes are sorted, so combo lists its pairs in order
-                    H = embed_planar(nodes, dict(enumerate(combo, 1)))
-                except TCycleError:  # not planar
-                    continue
-                if linkage_profile(H, B) != target:
-                    continue
-                branch = brute_minor(protrusion, H)
-                if branch is None:
-                    continue
-                return H, {
-                    "candidates": tried,
-                    "old_size": n_part,
-                    "new_size": n_h,
-                    "branch_sets": branch,
-                }
-    return None
+    The part's profile is computed once and shared by the contraction and
+    the final check.  Raises BoundaryTooLarge for a boundary over
+    BOUNDARY_LIMIT."""
+    target = linkage_profile(pgraph, boundary)
+    found = contraction_replacement(pgraph, boundary, target=target)
+    if found is None:
+        return "no-smaller-candidate", None
+    H, certificate = found
+    # re-verify independently of how the candidate was found: H's own
+    # profile, and the branch sets by a rooted model check that shares no
+    # code with the contraction
+    if not (
+        len(H.vertices) < len(pgraph.vertices)
+        and linkage_profile(H, boundary) == target
+        and verify_minor_map(pgraph, H, certificate["branch_sets"])
+    ):
+        return "rejected", None
+    certificate["method"] = "contraction"
+    certificate["verified"] = True
+    return "contraction", found
 
 
 def contraction_replacement(protrusion, boundary, target=None):
     """A smaller profile-equal graph obtained by contracting the interior.
 
-    Unlike the exhaustive search this scales to protrusions of any size:
-    the result is a minor by construction, certified by explicit branch
+    The result is a minor by construction, certified by explicit branch
     sets.  The candidates are the levels of one farthest-first contraction
     of the interior, down to at most CONTRACTED_INTERIOR_LIMIT interior
-    vertices, and the rim quotients; the smallest whose profile still
-    matches wins, the levels first on ties.  target is the protrusion's
+    vertices, and the rim quotients of up to RIM_QUOTIENT_LIMIT faces that
+    hold the whole boundary; the smallest whose profile still matches wins,
+    the levels first on ties.  The profile reads no rotation, so only that
+    winner is embedded by a planarity test.  target is the protrusion's
     profile, computed here when not given.  Returns None when every
     candidate changes the profile.
     """
@@ -441,13 +331,18 @@ def contraction_replacement(protrusion, boundary, target=None):
     if target is None:
         target = linkage_profile(protrusion, B)
     top = min(CONTRACTED_INTERIOR_LIMIT, len(interior) - 1)
-    levels = [_quotient(protrusion, rep) for rep in _contraction_levels(protrusion, B, top)]
-    candidates = [q for q in levels if q is not None] + _rim_quotients(protrusion, B)
+    reps = _contraction_levels(protrusion, B, top)
+    reps += itertools.islice(_rim_reps(protrusion, B), RIM_QUOTIENT_LIMIT)
+    candidates = [_quotient(protrusion, rep) for rep in reps]
     candidates.sort(key=lambda hb: (len(hb[0].vertices), len(hb[0].edges)))
     for H, branch in candidates:
         if len(H.vertices) >= len(protrusion.vertices):
             continue
         if linkage_profile(H, B) != target:
+            continue
+        try:
+            H = embed_planar(H.vertices, H.edges)
+        except TCycleError:  # a guard: every quotient of a plane part is planar
             continue
         return H, {
             "old_size": len(protrusion.vertices),
@@ -510,7 +405,7 @@ def _contraction_levels(protrusion, boundary, top):
 def _quotient(protrusion, rep):
     """Contract each class of the rep map (vertex -> class label) to one
     vertex, dropping the vertices the map omits; returns (graph, branch
-    sets), or None when the quotient is not planar.
+    sets).  The graph carries a placeholder rotation.
 
     Parallel edges are kept, capped at two per pair: collapsing them would
     lose the difference between one and two disjoint routes, which the
@@ -528,15 +423,12 @@ def _quotient(protrusion, rep):
     for pair in sorted(mult):
         for _ in range(min(2, mult[pair])):
             edges[len(edges) + 1] = pair
-    try:
-        H = embed_planar(set(classes), edges)
-    except TCycleError:
-        return None
-    return H, {r: frozenset(vs) for r, vs in classes.items()}
+    return unembedded(set(classes), edges), {r: frozenset(vs) for r, vs in classes.items()}
 
 
-def _rim_quotients(protrusion, boundary, cap=4):
-    """Quotients that keep a face holding the whole boundary as a cycle.
+def _rim_reps(protrusion, boundary):
+    """Rep maps, one per face holding the whole boundary, whose quotients
+    keep that face as a cycle.
 
     Farthest-first contraction is blind to the embedding and tends to merge
     the two rim routes between a boundary pair, losing cycles.  Here each
@@ -546,7 +438,7 @@ def _rim_quotients(protrusion, boundary, cap=4):
     try:
         emb = protrusion.embedding()
     except TCycleError:
-        return []
+        return
     B = set(boundary)
     parent = {v: v for v in protrusion.vertices}
 
@@ -562,7 +454,6 @@ def _rim_quotients(protrusion, boundary, cap=4):
             ra, rb = sorted((ra, rb))
             parent[rb] = ra
 
-    out = []
     for face in emb.faces:
         if not face.walk or not B <= face.vertices:
             continue
@@ -588,13 +479,7 @@ def _rim_quotients(protrusion, boundary, cap=4):
             for y in protrusion.neighbors(s):
                 if y in left:
                     union(s, y)
-        rep = {v: (v if v in B else find(v)) for v in protrusion.vertices}
-        got = _quotient(protrusion, rep)
-        if got is not None:
-            out.append(got)
-        if len(out) >= cap:
-            break
-    return out
+        yield {v: (v if v in B else find(v)) for v in protrusion.vertices}
 
 
 def verify_minor_map(host, pattern, branch):
@@ -708,11 +593,10 @@ def part_graph(graph, part, boundary):
 class KernelReport:
     """What kernelize did.  fates holds one (fate, part size, boundary
     size) entry per part it tried to replace, the part size counting the
-    boundary.  A part is replaced by "search" or "contraction"; it is
-    kept when it is "too-big" to try, when the search hit its
-    "budget-exceeded" and contraction found nothing, when nothing smaller
-    passed ("no-smaller-candidate"), or when the final check "rejected"
-    the replacement.  kept_verbatim counts the kept parts."""
+    boundary.  A part is replaced by "contraction"; it is kept when it is
+    "too-big" to try, when no smaller candidate keeps its profile
+    ("no-smaller-candidate"), or when the final check "rejected" the
+    replacement.  kept_verbatim counts the kept parts."""
 
     input_size: int
     final_size: int = 0
@@ -741,51 +625,14 @@ def _linkage_irrelevant_sweep(graph, part, boundary, threshold):
         pg = pg.without_vertices(far)
 
 
-def _replace_part(pgraph, boundary, search, contract):
-    """The part's fate, and a certified smaller replacement for it as
-    (graph, certificate) or None when it is kept.  search and contract say
-    which methods may run; the search goes first.  The part's profile is
-    computed once and shared by both methods and the final check."""
-    if not (search or contract):
-        return "too-big", None
-    target = linkage_profile(pgraph, boundary)
-    found, kept = None, "no-smaller-candidate"
-    if search:
-        try:
-            found = replacement_search(pgraph, boundary, target=target)
-            method = "search"
-        except BudgetExceeded:
-            kept = "budget-exceeded"
-    if found is None and contract:
-        found = contraction_replacement(pgraph, boundary, target=target)
-        method = "contraction"
-    if found is None:
-        return kept, None
-    H, certificate = found
-    # re-verify independently of how the candidate was found: H's own
-    # profile, and the branch sets by a model check that shares no code
-    # with the search or the contraction.  The search's minor is unrooted,
-    # its extra vertices being fresh ids.
-    check = verify_minor_map if method == "contraction" else is_minor_model
-    if not (
-        len(H.vertices) < len(pgraph.vertices)
-        and linkage_profile(H, boundary) == target
-        and check(pgraph, H, certificate["branch_sets"])
-    ):
-        return "rejected", None
-    certificate["method"] = method
-    certificate["verified"] = True
-    return method, found
-
-
-def kernelize(graph, terminals=None, budget=None, level=2):
+def kernelize(graph, terminals=None, budget=None):
     """Shrink the instance while preserving the answer exactly.
 
     Stage 1 removes isolated vertices and yields a boundary set U; stage 2
     splits off protrusions around U and the terminals; per protrusion,
     stage 3 deletes interior vertices isolated from its boundary, stage 4
     splits the rest into subprotrusions, and stage 5 swaps each for the
-    smallest certified equivalent.  Any part that is too big to certify
+    smallest certified contraction with its profile.  Any part that is too big to certify
     is kept verbatim; report.fates says what became of each part.
     """
     T = set(graph.terminals if terminals is None else terminals)
@@ -813,42 +660,32 @@ def kernelize(graph, terminals=None, budget=None, level=2):
         part = part & kernel.vertices
         if not part:
             continue
-        if level >= 2:
-            t3 = budget.g if budget is not None else isolation_threshold(
-                g0 + len(B)
-            )
-            gone = _linkage_irrelevant_sweep(kernel, part, B, t3)
-            if gone:
-                kernel = kernel.without_vertices(gone)
-                part = part - gone
-                report.stages.append(("part-sweep", len(gone) + len(part), len(part)))
-            if not part:
-                continue
-            pg = part_graph(kernel, part, B)
-            try:
-                nested = protrusion_decompose(
-                    pg, B, 4 * isolation_threshold(g0 + len(B))
-                )
-                jobs = [
-                    (y & part, yb)
-                    for y, yb in zip(nested.parts, nested.boundaries)
-                ]
-            except ModulatorInvalid:
-                jobs = [(part, B)]
-        else:
+        t3 = budget.g if budget is not None else isolation_threshold(g0 + len(B))
+        gone = _linkage_irrelevant_sweep(kernel, part, B, t3)
+        if gone:
+            kernel = kernel.without_vertices(gone)
+            part = part - gone
+            report.stages.append(("part-sweep", len(gone) + len(part), len(part)))
+        if not part:
+            continue
+        pg = part_graph(kernel, part, B)
+        try:
+            nested = protrusion_decompose(pg, B, 4 * isolation_threshold(g0 + len(B)))
+            jobs = [(y & part, yb) for y, yb in zip(nested.parts, nested.boundaries)]
+        except ModulatorInvalid:
             jobs = [(part, B)]
         for sub, sub_b in jobs:
             if not sub:
                 continue
             pgraph = part_graph(kernel, sub, sub_b)
             n = len(pgraph.vertices)
-            small = n <= MINOR_HOST_LIMIT
-            search = small and len(sub_b) <= BOUNDARY_LIMIT
             # mid-size parts cap the boundary harder: the segment sets that
             # the profile's DP run keeps grow steeply with the boundary
-            mid = n <= CONTRACTION_SIZE_LIMIT and len(sub_b) <= BOUNDARY_LIMIT - 1
-            contract = len(sub_b) <= BOUNDARY_LIMIT and (small or mid)
-            fate, found = _replace_part(pgraph, sub_b, search, contract)
+            cap = BOUNDARY_LIMIT if n <= SMALL_PART_LIMIT else BOUNDARY_LIMIT - 1
+            if n > CONTRACTION_SIZE_LIMIT or len(sub_b) > cap:
+                fate, found = "too-big", None
+            else:
+                fate, found = replacement_search(pgraph, sub_b)
             report.fates.append((fate, n, len(sub_b)))
             if found is None:
                 report.kept_verbatim += 1

@@ -8,7 +8,6 @@ from tcycle.cycles import is_isolated
 from tcycle.dp import solve_disjoint_paths, solve_m_cycle, solve_t_cycle
 from tcycle.errors import (
     BoundaryTooLarge,
-    BudgetExceeded,
     InvalidConfiguration,
     InvalidDecomposition,
     ModulatorInvalid,
@@ -18,10 +17,12 @@ from tcycle.errors import (
 from tcycle.graph import EmbeddedGraph
 from tcycle.kernel import (
     CONTRACTED_INTERIOR_LIMIT,
+    RIM_QUOTIENT_LIMIT,
     LinkageProfile,
     _contraction_levels,
     _linkage_irrelevant_sweep,
     _quotient,
+    _rim_reps,
     all_matchings,
     contraction_replacement,
     kernelize,
@@ -121,25 +122,23 @@ def test_linkage_profile_boundary_cap():
 
 def test_replacement_search_path_becomes_edge():
     g = generate.path_graph(3)
-    found = replacement_search(g, [1, 3])
-    assert found is not None
+    fate, found = replacement_search(g, [1, 3])
+    assert fate == "contraction" and found is not None
     H, cert = found
     assert set(H.vertices) == {1, 3} and len(H.edges) == 1
     assert cert["old_size"] == 3 and cert["new_size"] == 2
+    assert cert["method"] == "contraction" and cert["verified"]
+    assert cert["branch_sets"] == {1: frozenset({1, 2}), 3: frozenset({3})}
     assert linkage_profile(H, [1, 3]) == linkage_profile(g, [1, 3])
 
 
 def test_replacement_search_minimal_unchanged():
-    assert replacement_search(edge_graph(1, 2), [1, 2]) is None
+    assert replacement_search(edge_graph(1, 2), [1, 2]) == ("no-smaller-candidate", None)
 
 
 def test_replacement_search_limits():
     with pytest.raises(BoundaryTooLarge):
         replacement_search(generate.grid(3, 4), list(range(1, 8)))
-    with pytest.raises(BudgetExceeded):
-        replacement_search(generate.grid(4, 5), [1, 5])
-    with pytest.raises(BudgetExceeded):
-        replacement_search(generate.grid(3, 4), [1, 4, 9, 12], candidate_cap=10)
 
 
 def test_contraction_replacement_ring():
@@ -250,18 +249,18 @@ def test_kernelize_preserves_answers():
 
 
 def assert_fates_add_up(report):
-    replaced = [f for f, _, _ in report.fates if f in ("search", "contraction")]
+    replaced = [f for f, _, _ in report.fates if f == "contraction"]
     assert len(replaced) == len(report.replacements)
     assert report.kept_verbatim == len(report.fates) - len(replaced)
     assert [c["method"] for c in report.replacements] == replaced
 
 
-def test_kernelize_rejects_tampered_search_certificate(monkeypatch):
+def test_kernelize_rejects_tampered_contraction_certificate(monkeypatch):
     g = generate.grid(3, 4, terminals={1, 12})
     k, report = kernelize(g)
-    assert report.fates == [("search", 12, 2)]
-    assert len(k.vertices) == 3
-    honest = kernel.replacement_search
+    assert report.fates == [("contraction", 12, 2)]
+    assert len(k.vertices) == 2
+    honest = kernel.contraction_replacement
 
     def tampered(*args, **kwargs):
         H, cert = honest(*args, **kwargs)
@@ -270,11 +269,27 @@ def test_kernelize_rejects_tampered_search_certificate(monkeypatch):
         cert["branch_sets"][second] |= cert["branch_sets"][first]
         return H, cert
 
-    monkeypatch.setattr(kernel, "replacement_search", tampered)
+    monkeypatch.setattr(kernel, "contraction_replacement", tampered)
     k, report = kernelize(g)
     assert report.fates == [("rejected", 12, 2)]
     assert report.replacements == [] and report.kept_verbatim == 1
     assert k.vertices == g.vertices
+
+
+def test_kernelize_prefers_a_smaller_contraction_with_a_doubled_edge():
+    # criterion 8's small instance at seed 1.  An exhaustive search over
+    # simple graphs, tried before contraction, used to replace its one part
+    # by a triangle; contraction keeps the part's cycle as a doubled edge
+    # on two vertices
+    rng = random.Random(120_001)
+    g = generate.random_planar(rng.randrange(8, 15), seed=120_001)
+    T = set(rng.sample(sorted(g.vertices), rng.randrange(1, 6)))
+    g = g.with_terminals(T)
+    k, report = kernelize(g)
+    assert report.fates == [("contraction", 9, 1)]
+    assert len(k.vertices) == 2 and len(k.edges) == 2
+    assert len(set(map(frozenset, k.edges.values()))) == 1
+    assert (brute_t_cycle(k, k.terminals) is None) == (brute_t_cycle(g, T) is None)
 
 
 def test_kernelize_lets_decomposition_faults_through(monkeypatch):
@@ -286,26 +301,6 @@ def test_kernelize_lets_decomposition_faults_through(monkeypatch):
     monkeypatch.setattr(kernel, "protrusion_decompose", broken)
     with pytest.raises(InvalidDecomposition):
         kernelize(generate.grid(3, 4, terminals={1, 12}))
-
-
-def test_kernelize_level_one_preserves_answers():
-    # level 1 skips the per-part sweep and the nested decomposition
-    replaced = 0
-    for seed in range(30):
-        rng = random.Random(seed + 120_000)
-        g = generate.random_planar(rng.randrange(8, 15), seed=seed + 120_000)
-        T = set(rng.sample(sorted(g.vertices), rng.randrange(1, 6)))
-        g = g.with_terminals(T)
-        k, report = kernelize(g, level=1)
-        assert report.final_size == len(k.vertices) <= len(g.vertices)
-        assert (brute_t_cycle(k, k.terminals) is None) == (
-            brute_t_cycle(g, T) is None
-        ), seed
-        assert all(cert["verified"] for cert in report.replacements)
-        assert not any(stage == "part-sweep" for stage, _, _ in report.stages)
-        assert_fates_add_up(report)
-        replaced += len(report.replacements)
-    assert replaced > 0
 
 
 def test_kernelize_shrinks_long_appendage():
@@ -637,9 +632,11 @@ def with_parallel_edges(g, rng):
     return {eid: (p if rng.random() < 0.5 else p[::-1]) for eid, p in zip(ids, pairs)}
 
 
-def test_contraction_levels_match_per_level_reference():
+def seeded_parts():
+    """220 seeded parts (seed, graph, boundary) of 7 to 18 vertices: some
+    with interior pieces cut off from the boundary, some with parallel
+    edges."""
     rng = random.Random(8080)
-    parts = levels = deleted = 0
     for seed in range(220):
         g = generate.random_planar(rng.randrange(10, 19), seed=seed + 9000)
         verts = sorted(g.vertices)
@@ -649,10 +646,15 @@ def test_contraction_levels_match_per_level_reference():
             # every route to the boundary
             cut = rng.sample([v for v in verts if v not in B], 3)
             g = g.without_vertices(cut)
-        interior = len(g.vertices) - len(B)
         if seed % 4 == 0:
             g = generate.embed_planar(g.vertices, with_parallel_edges(g, rng))
-        top = min(CONTRACTED_INTERIOR_LIMIT, interior - 1)
+        yield seed, g, B
+
+
+def test_contraction_levels_match_per_level_reference():
+    parts = levels = deleted = 0
+    for seed, g, B in seeded_parts():
+        top = min(CONTRACTED_INTERIOR_LIMIT, len(g.vertices) - len(B) - 1)
         reps = _contraction_levels(g, B, top)
         assert len(reps) == top + 1
         for m, rep in enumerate(reps):
@@ -665,6 +667,66 @@ def test_contraction_levels_match_per_level_reference():
             levels += 1
         parts += 1
     assert parts >= 200 and levels >= 1000 and deleted > 0
+
+
+# -- the contraction as it ran before: every candidate embedded by a
+# -- planarity test before its profile was compared
+
+
+def ref_quotient(protrusion, rep):
+    """_quotient with an embedding: None when the quotient is not planar."""
+    classes = {}
+    for v in protrusion.vertices:
+        if v in rep:
+            classes.setdefault(rep[v], set()).add(v)
+    mult = {}
+    for u, v in protrusion.edges.values():
+        if u in rep and v in rep and rep[u] != rep[v]:
+            pair = tuple(sorted((rep[u], rep[v])))
+            mult[pair] = mult.get(pair, 0) + 1
+    edges = {}
+    for pair in sorted(mult):
+        for _ in range(min(2, mult[pair])):
+            edges[len(edges) + 1] = pair
+    try:
+        H = generate.embed_planar(set(classes), edges)
+    except TCycleError:
+        return None
+    return H, {r: frozenset(vs) for r, vs in classes.items()}
+
+
+def ref_contraction_winner(protrusion, B, target):
+    """The smallest planar candidate with the target profile, the levels
+    first on ties, from the levels and the first RIM_QUOTIENT_LIMIT planar
+    rim quotients."""
+    top = min(CONTRACTED_INTERIOR_LIMIT, len(protrusion.vertices) - len(B) - 1)
+    levels = [ref_quotient(protrusion, rep) for rep in _contraction_levels(protrusion, B, top)]
+    rims = [ref_quotient(protrusion, rep) for rep in _rim_reps(protrusion, B)]
+    candidates = [q for q in levels if q is not None]
+    candidates += [q for q in rims if q is not None][:RIM_QUOTIENT_LIMIT]
+    candidates.sort(key=lambda hb: (len(hb[0].vertices), len(hb[0].edges)))
+    for H, branch in candidates:
+        if len(H.vertices) < len(protrusion.vertices) and linkage_profile(H, B) == target:
+            return H, branch
+    return None
+
+
+def test_contraction_replacement_matches_embed_every_candidate_reference():
+    parts = won = 0
+    for seed, g, B in seeded_parts():
+        target = linkage_profile(g, B)
+        got = contraction_replacement(g, B, target=target)
+        want = ref_contraction_winner(g, B, target)
+        assert (got is None) == (want is None), seed
+        if got is not None:
+            (H, cert), (H_ref, branch_ref) = got, want
+            assert H.vertices == H_ref.vertices, seed
+            assert H.edges == H_ref.edges, seed
+            assert H.rotation == H_ref.rotation, seed
+            assert cert["branch_sets"] == branch_ref, seed
+            won += 1
+        parts += 1
+    assert parts >= 200 and won >= 150
 
 
 def test_embed_planar_matches_reference_on_multigraphs():
