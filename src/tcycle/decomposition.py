@@ -113,7 +113,7 @@ def _radial_path(graph, sources, targets, emb=None, allowed=None):
                 if fid in seen_faces:
                     continue
                 seen_faces.add(fid)
-                for w in sorted(emb.faces[fid].vertices):
+                for w in sorted(emb.face_vertices[fid]):
                     if w in parent:
                         continue
                     if allowed is not None and w not in allowed and w not in targets:

@@ -309,13 +309,13 @@ def digon_tower(depth, two_terminals=False):
     if two_terminals:
         # the second terminal nests outside the first
         outer = next(
-            f.vertices
-            for f in emb.faces
-            if other in f.vertices and t1 not in f.vertices
+            fverts
+            for fverts in emb.face_vertices
+            if other in fverts and t1 not in fverts
         )
     else:
         # the pendant hangs in the unbounded face
-        outer = next(f.vertices for f in emb.faces if other in f.vertices)
+        outer = next(fverts for fverts in emb.face_vertices if other in fverts)
     g = EmbeddedGraph(verts, edges, rotation, terms, outer)
     rings = [[xs[i], ys[i]] for i in range(depth + 1)]
     return g, rings
@@ -403,7 +403,7 @@ def telescope(depth):
     g0 = from_coordinates(points, edges, terminals=terms)
     emb = g0.embedding()
     marks = {vid(r, 0), first_arc}
-    outer = next(f.vertices for f in emb.faces if marks <= f.vertices)
+    outer = next(fverts for fverts in emb.face_vertices if marks <= fverts)
     g = EmbeddedGraph(set(points), edges, g0.rotation, terms, outer)
     cycles = [
         frozenset(pair[frozenset((vid(i, j), vid(i, j + 1)))] for j in range(M))

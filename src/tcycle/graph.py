@@ -5,10 +5,24 @@ rotation system giving the cyclic order of edge ends around every vertex.
 Faces are traced from the rotation system, and the Euler relation
 V - E + F = 2 per connected component certifies that the rotation system
 describes a sphere embedding.  Nothing here uses coordinates.
+
+Darts.  The tracer numbers the two ends of edge e as the integers 2*e
+(from the stored tail to the head) and 2*e + 1 (the other way), so the
+reverse of dart d is d ^ 1, its edge is d >> 1 and its side is d & 1; this
+holds for negative edge ids too.
+
+Validation.  The constructor checks every graph it is given: edge ends and
+terminals are vertices, and each rotation lists exactly its vertex's edge
+ends.  Graphs derived from a valid graph by `subgraph`, `without_vertices`
+and `without_edges` are built without that check, because filtering a valid
+rotation system keeps it valid; `with_terminals` checks only the new
+terminals.  Faces and components are computed once per graph and cached.
 """
 
+import logging
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .errors import (
     Disconnected,
@@ -18,59 +32,64 @@ from .errors import (
     UnknownVertex,
 )
 
-
-@dataclass(frozen=True)
-class Face:
-    """One face of the embedding.
-
-    walk is the cyclic boundary walk as a tuple of darts (eid, side); a dart
-    (e, 0) traverses e from its stored tail to its head, (e, 1) the other
-    way.  Isolated vertices get a one-off face with an empty walk.
-    """
-
-    id: int
-    walk: tuple
-    vertices: frozenset
-    edge_ids: frozenset
+_log = logging.getLogger("tcycle.graph")
 
 
 class EmbeddedGraph:
     """An embedded planar multigraph with terminals.
 
     Treated as immutable once built; all mutators return new graphs.
+    Rotation entries of non-vertices are dropped, as are empty ones.
     """
 
     def __init__(self, vertices, edges, rotation, terminals=(), outer_hint=None):
-        self.vertices = frozenset(vertices)
-        self.edges = dict(edges)  # eid -> (u, v)
-        self.rotation = {v: tuple(r) for v, r in rotation.items() if r}
-        self.terminals = frozenset(terminals)
-        # outer_hint: vertex set identifying the intended outer face, if any
-        self.outer_hint = frozenset(outer_hint) if outer_hint else None
-        self._emb = None
+        vertices = frozenset(vertices)
+        self._fill(
+            vertices,
+            dict(edges),  # eid -> (u, v)
+            {v: tuple(r) for v, r in rotation.items() if r and v in vertices},
+            frozenset(terminals),
+            # outer_hint: vertex set identifying the intended outer face
+            frozenset(outer_hint) if outer_hint else None,
+        )
         self._validate_basic()
+
+    def _fill(self, vertices, edges, rotation, terminals, outer_hint):
+        self.vertices = vertices
+        self.edges = edges
+        self.rotation = rotation
+        self.terminals = terminals
+        self.outer_hint = outer_hint
+        self._emb = None
+        self._components = None
+
+    @classmethod
+    def _derived(cls, vertices, edges, rotation, terminals, outer_hint):
+        """A graph filtered from a valid one, built without validation.  The
+        arguments must already be in the constructor's normal form."""
+        g = cls.__new__(cls)
+        g._fill(vertices, edges, rotation, terminals, outer_hint)
+        return g
 
     # -- basic structure ---------------------------------------------------
 
     def _validate_basic(self):
-        for eid, (u, v) in self.edges.items():
-            if u not in self.vertices or v not in self.vertices:
-                raise UnknownVertex(f"edge {eid} touches unknown vertex")
-        if not self.terminals <= self.vertices:
+        vertices, edges = self.vertices, self.edges
+        tails, heads = zip(*edges.values()) if edges else ((), ())
+        if not (vertices.issuperset(tails) and vertices.issuperset(heads)):
+            for eid, (u, v) in edges.items():
+                if u not in vertices or v not in vertices:
+                    raise UnknownVertex(f"edge {eid} touches unknown vertex")
+        if not self.terminals <= vertices:
             raise UnknownVertex("terminal is not a vertex")
-        # one multiset of (vertex, edge end) pairs on each side, compared as
-        # plain dicts (no count is zero, and Counter's own == loops in
-        # Python); the per-vertex scan runs only to name a vertex that differs
-        want = Counter()
-        for eid, (u, v) in self.edges.items():
-            want[u, eid] += 1
-            want[v, eid] += 1
-        have = Counter(
-            (v, eid)
-            for v, rot in self.rotation.items()
-            if v in self.vertices
-            for eid in rot
-        )
+        # one multiset of (vertex, edge end) pairs on each side, counted in C
+        # and compared as plain dicts (no count is zero, and Counter's own ==
+        # loops in Python); the per-vertex scan runs only to name a vertex
+        # that differs
+        want = Counter(zip(tails, edges))
+        want.update(zip(heads, edges))
+        rotation = self.rotation
+        have = Counter(chain.from_iterable(map(zip, map(repeat, rotation), rotation.values())))
         if dict.__ne__(have, want):
             self._report_rotation_mismatch()
 
@@ -108,26 +127,29 @@ class EmbeddedGraph:
         return b if a == v else a
 
     def components(self):
-        """Connected components as a list of frozensets of vertices."""
-        adj = {v: [] for v in self.vertices}
-        for u, v in self.edges.values():
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = set()
-        out = []
-        for s in sorted(self.vertices):
-            if s in seen:
-                continue
-            comp = {s}
-            queue = deque([s])
-            while queue:
-                for y in adj[queue.popleft()]:
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-            seen |= comp
-            out.append(frozenset(comp))
-        return out
+        """Connected components as a list of frozensets of vertices, in
+        order of their least vertex."""
+        if self._components is None:
+            adj = {v: [] for v in self.vertices}
+            for u, v in self.edges.values():
+                adj[u].append(v)
+                adj[v].append(u)
+            seen = set()
+            out = []
+            for s in sorted(self.vertices):
+                if s in seen:
+                    continue
+                comp = {s}
+                queue = deque([s])
+                while queue:
+                    for y in adj[queue.popleft()]:
+                        if y not in comp:
+                            comp.add(y)
+                            queue.append(y)
+                seen |= comp
+                out.append(frozenset(comp))
+            self._components = out
+        return list(self._components)
 
     # -- derived graphs ----------------------------------------------------
 
@@ -138,32 +160,38 @@ class EmbeddedGraph:
         keep = frozenset(keep)
         if keep == self.vertices:
             return self
-        edges = {
-            eid: (u, v)
-            for eid, (u, v) in self.edges.items()
-            if u in keep and v in keep
-        }
-        rot = {
-            v: tuple(e for e in self.rotation.get(v, ()) if e in edges)
-            for v in keep
-        }
+        rotation = self.rotation
+        cut = {e for v in self.vertices - keep for e in rotation.get(v, ())}
+        rot = {v: rotation[v] for v in keep if v in rotation}
         hint = self.outer_hint if self.outer_hint and self.outer_hint <= keep else None
-        return EmbeddedGraph(keep, edges, rot, self.terminals & keep, hint)
+        return self._cut(keep, cut, rot, self.terminals & keep, hint)
 
     def without_vertices(self, drop):
         return self.subgraph(self.vertices - frozenset(drop))
 
     def without_edges(self, drop):
-        drop = frozenset(drop)
-        edges = {e: uv for e, uv in self.edges.items() if e not in drop}
-        rot = {
-            v: tuple(e for e in r if e not in drop)
-            for v, r in self.rotation.items()
-        }
-        return EmbeddedGraph(self.vertices, edges, rot, self.terminals, self.outer_hint)
+        cut = frozenset(drop) & self.edges.keys()
+        return self._cut(
+            self.vertices, cut, dict(self.rotation), self.terminals, self.outer_hint
+        )
+
+    def _cut(self, vertices, cut, rot, terminals, hint):
+        """The graph without the edges in cut; rot is the rotation of the
+        vertices that stay, and only the ends of cut edges are refiltered."""
+        for v in {w for e in cut for w in self.edges[e]} & rot.keys():
+            r = tuple([e for e in rot[v] if e not in cut])
+            if r:
+                rot[v] = r
+            else:
+                del rot[v]
+        edges = {e: uv for e, uv in self.edges.items() if e not in cut}
+        return EmbeddedGraph._derived(vertices, edges, rot, terminals, hint)
 
     def with_terminals(self, terminals):
-        return EmbeddedGraph(
+        terminals = frozenset(terminals)
+        if not terminals <= self.vertices:
+            raise UnknownVertex("terminal is not a vertex")
+        return EmbeddedGraph._derived(
             self.vertices, self.edges, self.rotation, terminals, self.outer_hint
         )
 
@@ -188,21 +216,27 @@ def unembedded(vertices, edges, terminals=()):
 
 
 class Embedding:
-    """Traced faces of an EmbeddedGraph plus incidence lookups."""
+    """Traced faces of an EmbeddedGraph plus incidence lookups.
 
-    def __init__(self, graph, faces, face_of_dart, component_of, outer_faces):
+    Filled by the tracer: walks (face id -> list of integer darts, empty for
+    an isolated vertex's face), face_vertices (face id -> frozenset),
+    dart_face (integer dart -> face id), faces_of_vertex (vertex -> set of
+    face ids), component_of (vertex -> component index) and outer_faces
+    (component index -> face id).
+    """
+
+    def __init__(self, graph, walks, face_vertices, dart_face, faces_of_vertex,
+                 component_of, outer_faces):
         self.graph = graph
-        self.faces = faces  # list of Face
-        self.face_of_dart = face_of_dart  # (eid, side) -> face id
-        self.component_of = component_of  # vertex -> component index
-        self.outer_faces = outer_faces  # component index -> face id
-        self.faces_of_vertex = {v: set() for v in graph.vertices}
-        for f in faces:
-            for v in f.vertices:
-                self.faces_of_vertex[v].add(f.id)
+        self.walks = walks
+        self.face_vertices = face_vertices
+        self.dart_face = dart_face
+        self.faces_of_vertex = faces_of_vertex
+        self.component_of = component_of
+        self.outer_faces = outer_faces
 
     def faces_of_edge(self, eid):
-        return (self.face_of_dart[(eid, 0)], self.face_of_dart[(eid, 1)])
+        return (self.dart_face[2 * eid], self.dart_face[2 * eid + 1])
 
     def outer_face(self, v=None):
         """Outer face id of v's component (or of the whole graph if it is
@@ -215,94 +249,102 @@ class Embedding:
         return self.outer_faces[self.component_of[v]]
 
 
-def _darts_at(graph, v):
-    """The darts leaving v in rotation order.  The two ends of a loop at v
-    get sides 0 and 1 in the order the rotation lists them."""
-    darts = []
-    loops = None  # loop edges met so far; most vertices have none
-    for eid in graph.rotation.get(v, ()):
-        a, b = graph.edges[eid]
-        if a != b:
-            darts.append((eid, 0 if a == v else 1))
-            continue
-        if loops is None:
-            loops = set()
-        darts.append((eid, 1 if eid in loops else 0))
-        loops.add(eid)
-    return darts
-
-
 def _trace_embedding(graph):
     # Faces are the orbits of the dart successor permutation (Mohar and
     # Thomassen, Graphs on Surfaces, 2001): a dart arriving at w as the
     # reverse of w's i-th dart continues along w's (i+1)-th dart.  Faces
     # are numbered in order of their first dart, vertices ascending and each
     # vertex's darts in rotation order, then one face per isolated vertex.
-    order = sorted(graph.vertices)
-    rings = [_darts_at(graph, v) for v in order]
-    succ = {}
-    for ring in rings:
-        nxt = ring[1:] + ring[:1]
-        for (eid, side), d in zip(ring, nxt):
-            succ[eid, 1 - side] = d
-
     edges = graph.edges
-    faces = []
-    face_of_dart = {}
-    for ring in rings:
+    rotation = graph.rotation
+    rings = {}  # v -> darts leaving v in rotation order, v ascending
+    isolated = []
+    for v in sorted(graph.vertices):
+        rot = rotation.get(v)
+        if rot:
+            rings[v] = [2 * e if edges[e][0] == v else 2 * e + 1 for e in rot]
+        else:
+            isolated.append(v)
+    # both ends of a loop at v got side 0; its second end in v's rotation
+    # takes side 1
+    for e, (a, b) in edges.items():
+        if a == b:
+            ring = rings[a]
+            ring[ring.index(2 * e, ring.index(2 * e) + 1)] = 2 * e + 1
+
+    succ = {}
+    tail = {}
+    for v, ring in rings.items():
+        succ.update(zip([d ^ 1 for d in ring], ring[1:] + ring[:1]))
+        tail.update(zip(ring, repeat(v)))
+
+    walks = []
+    face_vertices = []
+    dart_face = {}
+    for ring in rings.values():
         for start in ring:
-            if start in face_of_dart:
+            if start in dart_face:
                 continue
-            fid = len(faces)
+            fid = len(walks)
+            dart_face[start] = fid
             walk = [start]
-            face_of_dart[start] = fid
             d = succ[start]
             while d != start:
+                dart_face[d] = fid
                 walk.append(d)
-                face_of_dart[d] = fid
                 d = succ[d]
-            verts = frozenset([edges[eid][side] for eid, side in walk])
-            eids = frozenset([eid for eid, _ in walk])
-            faces.append(Face(fid, tuple(walk), verts, eids))
-    for v, ring in zip(order, rings):
-        if not ring:
-            faces.append(Face(len(faces), (), frozenset([v]), frozenset()))
+            walks.append(walk)
+            face_vertices.append(frozenset(map(tail.__getitem__, walk)))
+    faces_of_vertex = {v: set(map(dart_face.__getitem__, ring)) for v, ring in rings.items()}
+    for v in isolated:
+        faces_of_vertex[v] = {len(walks)}
+        walks.append([])
+        face_vertices.append(frozenset([v]))
 
     comps = graph.components()
     component_of = {}
     for i, comp in enumerate(comps):
-        for v in comp:
-            component_of[v] = i
+        component_of.update(zip(comp, repeat(i)))
 
-    # one pass tallies each component's edges and faces (a face's vertices
-    # all lie in one component); then the Euler check per component
-    # certifies planarity of the rotation
+    # the Euler check per component certifies planarity of the rotation; a
+    # face's vertices all lie in one component
     comp_edges = [0] * len(comps)
     for u, _ in edges.values():
         comp_edges[component_of[u]] += 1
-    comp_faces = [[] for _ in comps]
-    for f in faces:
-        comp_faces[component_of[next(iter(f.vertices))]].append(f)
-    for comp, ne, cand in zip(comps, comp_edges, comp_faces):
-        nv, nf = len(comp), len(cand)
+    comp_faces = [0] * len(comps)
+    for fverts in face_vertices:
+        comp_faces[component_of[next(iter(fverts))]] += 1
+    for comp, ne, nf in zip(comps, comp_edges, comp_faces):
+        nv = len(comp)
         if nv - ne + nf != 2:
             raise NonPlanarCertificate(
                 f"component {sorted(comp)[:6]}...: V-E+F = {nv}-{ne}+{nf} != 2"
             )
 
+    # a face equal to the hint holds the hint's least vertex, and the face
+    # whose sorted vertex tuple is least holds the component's least vertex
     hint = graph.outer_hint
     outer_faces = {}
-    for i, (comp, cand) in enumerate(zip(comps, comp_faces)):
+    for i, comp in enumerate(comps):
         chosen = None
         if hint and hint <= comp:
-            exact = [f for f in cand if f.vertices == hint]
+            exact = [f for f in faces_of_vertex[min(hint)] if face_vertices[f] == hint]
             if len(exact) == 1:
                 chosen = exact[0]
         if chosen is None:
-            chosen = min(cand, key=lambda f: tuple(sorted(f.vertices)))
-        outer_faces[i] = chosen.id
+            chosen = min(
+                faces_of_vertex[min(comp)],
+                key=lambda f: (tuple(sorted(face_vertices[f])), f),
+            )
+        outer_faces[i] = chosen
 
-    return Embedding(graph, faces, face_of_dart, component_of, outer_faces)
+    _log.debug(
+        "traced %d vertices, %d darts, %d faces, %d components",
+        len(graph.vertices), len(dart_face), len(walks), len(comps),
+    )
+    return Embedding(
+        graph, walks, face_vertices, dart_face, faces_of_vertex, component_of, outer_faces
+    )
 
 
 # -- radial (vertex-face incidence) traversal -----------------------------
@@ -335,7 +377,7 @@ def radial_bfs(graph, sources, emb=None):
                 if fid in seen_faces:
                     continue
                 seen_faces.add(fid)
-                for w in emb.faces[fid].vertices:
+                for w in emb.face_vertices[fid]:
                     if w not in dist:
                         dist[w] = d
                         nxt.append(w)
@@ -399,9 +441,9 @@ def cycle_sides(graph, cycle_edges, emb=None):
     verts = cycle_vertices(graph, cycle_edges)
     comp_idx = emb.component_of[next(iter(verts))]
     comp_faces = {
-        f.id
-        for f in emb.faces
-        if f.vertices and emb.component_of[next(iter(f.vertices))] == comp_idx
+        fid
+        for fid, fverts in enumerate(emb.face_vertices)
+        if emb.component_of[next(iter(fverts))] == comp_idx
     }
     adj = {fid: set() for fid in comp_faces}
     for eid, (u, v) in graph.edges.items():
@@ -456,7 +498,7 @@ def _region_disk(graph, emb, cycle_edges, region):
     verts = cycle_vertices(graph, cycle_edges)
     strict_v = set()
     for f in region:
-        strict_v |= emb.faces[f].vertices
+        strict_v |= emb.face_vertices[f]
     strict_v -= verts
     strict_e = set()
     for eid in graph.edges:

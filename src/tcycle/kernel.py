@@ -454,13 +454,10 @@ def _rim_reps(protrusion, boundary):
             ra, rb = sorted((ra, rb))
             parent[rb] = ra
 
-    for face in emb.faces:
-        if not face.walk or not B <= face.vertices:
+    for walk, fverts in zip(emb.walks, emb.face_vertices):
+        if not walk or not B <= fverts:
             continue
-        seq = []
-        for eid, side in face.walk:
-            u, v = protrusion.edges[eid]
-            seq.append(u if side == 0 else v)
+        seq = [protrusion.edges[d >> 1][d & 1] for d in walk]
         start = next(i for i, v in enumerate(seq) if v in B)
         seq = seq[start:] + seq[:start]
         for v in parent:

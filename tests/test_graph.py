@@ -1,9 +1,12 @@
+import logging
 import random
 from collections import Counter, deque
+from typing import NamedTuple
 
 import pytest
 
 from tcycle import generate
+from tcycle.decomposition import reed_pipeline
 from tcycle.errors import (
     Disconnected,
     MalformedRotation,
@@ -15,12 +18,35 @@ from tcycle.errors import (
 from tcycle.fileio import parse, serialize
 from tcycle.graph import (
     EmbeddedGraph,
-    Face,
     cycle_vertices,
     disk_of_cycle,
     radial_bfs,
     radial_distance,
 )
+
+
+class Face(NamedTuple):
+    """One face with its walk as tuple darts (eid, side): (e, 0) traverses
+    e from its stored tail to its head, (e, 1) the other way."""
+
+    id: int
+    walk: tuple
+    vertices: frozenset
+    edge_ids: frozenset
+
+
+def faces_of(emb):
+    """The embedding's faces as Face values, read off its integer darts
+    2*eid + side."""
+    return [
+        Face(fid, tuple((d >> 1, d & 1) for d in walk), verts, frozenset(d >> 1 for d in walk))
+        for fid, (walk, verts) in enumerate(zip(emb.walks, emb.face_vertices))
+    ]
+
+
+def face_of_dart_of(emb):
+    """(eid, side) -> face id."""
+    return {(d >> 1, d & 1): fid for d, fid in emb.dart_face.items()}
 
 
 def triangle():
@@ -34,28 +60,27 @@ def triangle():
 def test_single_edge_one_face():
     g = EmbeddedGraph({1, 2}, {1: (1, 2)}, {1: (1,), 2: (1,)})
     emb = g.embedding()
-    assert len(emb.faces) == 1
+    assert len(emb.walks) == 1
 
 
 def test_triangle_two_faces():
     emb = triangle().embedding()
-    assert len(emb.faces) == 2
-    for f in emb.faces:
-        assert f.vertices == frozenset({1, 2, 3})
+    assert len(emb.walks) == 2
+    for verts in emb.face_vertices:
+        assert verts == frozenset({1, 2, 3})
 
 
 def test_path_one_face():
     g = generate.path_graph(5)
-    assert len(g.embedding().faces) == 1
+    assert len(g.embedding().walks) == 1
 
 
 def test_grid_face_count():
     g = generate.grid(3, 4)
     # 12 vertices, 17 edges -> Euler gives 7 faces (6 squares + outer)
     emb = g.embedding()
-    assert len(emb.faces) == 7
-    outer = emb.faces[emb.outer_face()]
-    assert outer.vertices == g.outer_hint
+    assert len(emb.walks) == 7
+    assert emb.face_vertices[emb.outer_face()] == g.outer_hint
 
 
 def test_rotation_mismatch_rejected():
@@ -84,7 +109,7 @@ def test_disconnected_components_and_euler():
     emb = g.embedding()
     assert len(g.components()) == 4
     # triangle: 2 faces; edge: 1; two isolated vertices: 1 each
-    assert len(emb.faces) == 5
+    assert len(emb.walks) == 5
 
 
 def test_radial_distance_grid():
@@ -112,9 +137,9 @@ def test_radial_bfs_matches_bipartite_oracle():
     B = nx.Graph()
     for v in g.vertices:
         B.add_node(("v", v))
-    for f in emb.faces:
-        for v in f.vertices:
-            B.add_edge(("f", f.id), ("v", v))
+    for fid, verts in enumerate(emb.face_vertices):
+        for v in verts:
+            B.add_edge(("f", fid), ("v", v))
     src = min(g.vertices)
     expect = {
         n[1]: d // 2
@@ -138,7 +163,7 @@ def test_nested_rings_disks():
     g = generate.nested_rings(3)
     rings = generate.ring_ids(3)
     emb = g.embedding()
-    assert emb.faces[emb.outer_face()].vertices == frozenset(rings[2])
+    assert emb.face_vertices[emb.outer_face()] == frozenset(rings[2])
     inner_cycle = [e for e, (u, v) in g.edges.items() if u in rings[0] and v in rings[0]]
     d0 = disk_of_cycle(g, inner_cycle)
     assert d0.vertices == frozenset(rings[0])
@@ -377,6 +402,68 @@ def decorate(g, rng):
     return EmbeddedGraph(vertices, edges, rot, g.terminals, g.outer_hint)
 
 
+def relabel_edges(g, f):
+    """g with every edge id e renamed f(e)."""
+    return EmbeddedGraph(
+        g.vertices,
+        {f(e): uv for e, uv in g.edges.items()},
+        {v: [f(e) for e in r] for v, r in g.rotation.items()},
+        g.terminals,
+        g.outer_hint,
+    )
+
+
+def derive_chain(g, rng, steps=4):
+    """A random chain of without_vertices, without_edges, subgraph and
+    with_terminals calls from g, as (method, argument, parent, result)."""
+    out = []
+    for _ in range(steps):
+        verts = sorted(g.vertices)
+        how = rng.randrange(4)
+        if how == 0:
+            name, arg = "without_vertices", rng.sample(verts, len(verts) // 5)
+        elif how == 1:
+            name, arg = "without_edges", rng.sample(sorted(g.edges), len(g.edges) // 4)
+        elif how == 2:
+            name, arg = "subgraph", [v for v in verts if rng.random() < 0.8]
+        else:
+            name, arg = "with_terminals", rng.sample(verts, min(2, len(verts)))
+        h = getattr(g, name)(arg)
+        out.append((name, arg, g, h))
+        g = h
+    return out
+
+
+def derivation_steps():
+    rng = random.Random(99)
+    out = []
+    for seed in range(12):
+        g = generate.random_planar(10 + seed, seed=seed, k=2)
+        out += derive_chain(decorate(g, rng), rng)
+    for g in (generate.grid(5, 6), generate.nested_rings(4), generate.digon_tower(3)[0]):
+        out += derive_chain(decorate(g, rng), rng)
+    return out
+
+
+def ref_derive(name, arg, g):
+    """The derived graph as it was built before derivation skipped
+    validation: the same filter, through the validating constructor."""
+    vertices, edges, terminals, hint = g.vertices, g.edges, g.terminals, g.outer_hint
+    if name == "without_vertices":
+        name, arg = "subgraph", g.vertices - frozenset(arg)
+    if name == "subgraph":
+        vertices = frozenset(arg)
+        edges = {e: (u, v) for e, (u, v) in edges.items() if u in vertices and v in vertices}
+        terminals = terminals & vertices
+        hint = hint if hint and hint <= vertices else None
+    elif name == "without_edges":
+        edges = {e: uv for e, uv in edges.items() if e not in arg}
+    else:
+        terminals = arg
+    rot = {v: [e for e in r if e in edges] for v, r in g.rotation.items() if v in vertices}
+    return EmbeddedGraph(vertices, edges, rot, terminals, hint)
+
+
 def corpus():
     rng = random.Random(2024)
     out = []
@@ -398,20 +485,85 @@ def corpus():
         out.append(generate.digon_tower(depth)[0])
     out.append(EmbeddedGraph({1}, {1: (1, 1)}, {1: (1, 1)}))
     out.append(EmbeddedGraph({1, 2, 3}, {}, {}))
+    # negative and large edge ids: a dart's edge and side are read off with
+    # >> and &, which must hold for negative ints too
+    for g in out[:6] + out[-8:]:
+        out.append(relabel_edges(g, lambda e: -e))
+        out.append(relabel_edges(g, lambda e: ~(3 * e)))
+        out.append(relabel_edges(g, lambda e: e + 10**15))
+        out.append(relabel_edges(g, lambda e: -(10**12) * e - 1))
+    out += [d for _, _, _, d in derivation_steps()]
     return out
 
 
 def test_trace_matches_reference_oracle():
     graphs = corpus()
-    assert len(graphs) >= 140
+    assert len(graphs) >= 260
+    assert any(e < 0 for g in graphs for e in g.edges)
     for g in graphs:
         faces, face_of_dart, component_of, outer_faces = ref_trace(g)
         emb = g.embedding()
-        assert emb.faces == faces
-        assert emb.face_of_dart == face_of_dart
+        assert emb.face_vertices == [f.vertices for f in faces]
+        for eid in g.edges:
+            assert emb.faces_of_edge(eid) == (face_of_dart[eid, 0], face_of_dart[eid, 1])
+        assert faces_of(emb) == faces
+        assert face_of_dart_of(emb) == face_of_dart
         assert emb.component_of == component_of
         assert emb.outer_faces == outer_faces
         assert g.components() == ref_components(g)
+
+
+def test_serialized_graphs_parse_back_equal():
+    for g in corpus():
+        h = parse(serialize(g))
+        assert h.vertices == g.vertices
+        assert h.edges == g.edges
+        assert h.rotation == g.rotation
+        assert h.terminals == g.terminals
+        assert h.outer_hint == g.outer_hint
+
+
+def test_rotation_entries_of_non_vertices_are_dropped():
+    g = EmbeddedGraph({1, 2}, {1: (1, 2)}, {1: (1,), 2: (1,), 9: (1,)})
+    assert g.rotation == {1: (1,), 2: (1,)}
+    assert parse(serialize(g)).rotation == g.rotation
+
+
+def test_derived_graphs_match_validated_reference():
+    # subgraph and friends build their result without validating it; the
+    # validating constructor must accept every one, and the graph must equal
+    # the one the filter built through the constructor
+    steps = derivation_steps()
+    assert len(steps) >= 60
+    assert {name for name, _, _, _ in steps} == {
+        "without_vertices", "without_edges", "subgraph", "with_terminals"
+    }
+    for name, arg, parent, d in steps:
+        fields = (d.vertices, d.edges, d.rotation, d.terminals, d.outer_hint)
+        full = EmbeddedGraph(*fields)
+        ref = ref_derive(name, arg, parent)
+        for other in (full, ref):
+            assert (other.vertices, other.edges, other.rotation) == fields[:3]
+            assert (other.terminals, other.outer_hint) == fields[3:]
+        assert full.components() == d.components() == ref_components(d)
+    g = generate.grid(3, 3)
+    with pytest.raises(UnknownVertex):
+        g.with_terminals({1, 99})
+    assert g.with_terminals({1, 9}).terminals == {1, 9}
+
+
+def test_one_debug_line_per_trace(caplog):
+    caplog.set_level(logging.DEBUG, logger="tcycle.graph")
+    g = generate.grid_with_terminals(40, 40, 3, seed=1)
+    reed_pipeline(g)
+    lines = [r for r in caplog.records if r.name == "tcycle.graph"]
+    assert [r.levelname for r in lines] == ["DEBUG", "DEBUG"]
+    emb = g.embedding()
+    assert lines[0].args == (1600, len(emb.dart_face), len(emb.walks), 1)
+    assert lines[0].args[1] == 2 * len(g.edges)
+    caplog.clear()
+    g.embedding()
+    assert not [r for r in caplog.records if r.name == "tcycle.graph"]
 
 
 def test_trace_rejects_shuffled_rotations_like_reference():
@@ -429,7 +581,7 @@ def test_trace_rejects_shuffled_rotations_like_reference():
                 h.embedding()
             assert str(got.value) == str(exc)
         else:
-            assert h.embedding().faces == want[0]
+            assert faces_of(h.embedding()) == want[0]
     assert rejected >= 20
 
 
