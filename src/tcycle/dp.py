@@ -3,7 +3,7 @@
 Solves T-Cycle (with witness), vertex-disjoint linkages for a matching,
 and the subdivided M-cycle variant with one engine, `_PathDP`, which also
 lists every way a graph can link a boundary set in one pass.  A state at
-a node is (degree of each bag vertex, pairing of the open path ends,
+a node is (degree code of the bag vertices, pairing of the open path ends,
 closed flag): vertex-disjoint paths, or one cycle once closed, in the
 graph below the node.  What a problem adds is data:
 
@@ -47,23 +47,28 @@ Witnesses are backpointers, not edge sets: None at a leaf, (prev, eid)
 where an edge step took eid, and (wa, wb) at a join.  States share their
 history this way, and the edge set of the answer is rebuilt at the root.
 
-The join groups each child table by degree vector.  Per group, two
-bitmasks mark the bag positions of nonzero degree and of degree at
-capacity; two groups can be combined iff neither one's full positions
-meet the other's nonzero ones, so the summed degrees are formed once per
-compatible pair of groups.  The open paths of two states are spliced by
-`_merge`, a walk over a mate map of path ends, and then settled: complete
-paths are checked and dropped, and cycles counted against what may close.
-An edge step is a join with the one-path pairing {u, v}.  Each join or
-edge step keeps the settled merge of every pairing it meets while it runs.
+A degree vector is one int, the degree code, with 2 bits per position of
+the sorted bag.  The join groups each child table by code.  With lo and
+hi the low and high bits of every position, lo | hi marks a group's
+nonzero positions and hi | (lo & ONE) those at capacity, ONE marking the
+vertices of required degree 1.  Two groups combine iff neither's full
+positions meet the other's nonzero ones; their summed degrees are the sum
+of the codes, as no cap exceeds 2.  Where the nonzero positions do not
+meet, no path end is on both sides (sealed ends and a forgotten boundary
+vertex's tokens lie below one child), and each side's pairs were settled
+at a node with this bag, so the pairings combine as their union.
+Elsewhere `_merge` splices the open paths, a walk over a mate map of path
+ends, and the merge is settled: complete paths are checked and dropped,
+and cycles counted against what may close.  An edge step is a join with
+the one-path pairing {u, v}.  Each join or edge step keeps the settled
+merge of every pairing it splices while it runs.
 
 At the end of a run the engine logs one DEBUG line to the "tcycle.dp"
 logger, named after the problem: nodes, joins, the peak table size and
-the number of distinct merges.
+the number of distinct pairs of pairings that joins spliced.
 """
 
 import logging
-from operator import add
 
 from .errors import InvalidConfiguration, TCycleError
 from .graph import unembedded
@@ -75,13 +80,16 @@ _log = logging.getLogger("tcycle.dp")
 
 def _prepare(graph, td):
     """Nice decomposition plus the edge-to-node assignment.  A decomposition
-    the caller passes in is validated here; one built here already was."""
+    the caller passes in is validated here, and its nice form checked; one
+    built here already was."""
     if td is None:
-        td = build(graph)
+        td = make_nice(build(graph))
     else:
         td.validate(graph)
-    if not isinstance(td, NiceTreeDecomposition):
-        td = make_nice(td)
+        if isinstance(td, NiceTreeDecomposition):
+            td.check_shape()
+        else:
+            td = make_nice(td)
     depth = {td.root: 0}
     top = {}
     stack = [td.root]
@@ -133,35 +141,13 @@ def _renumbered(pairs, tokens):
     return frozenset(frozenset((x[0], 1) if x in tokens else x for x in p) for p in pairs)
 
 
-def _compatible_groups(table_a, table_b, caps):
-    """Pair up the degree-vector groups of two child tables whose summed
-    degrees stay within caps; yields (summed degrees, states of a, states
-    of b).  A state is a tuple whose first field is its degree vector, and
-    no degree in either table exceeds its cap."""
-    groups_b = _degree_groups(table_b, caps)
-    for da, nz_a, full_a, states_a in _degree_groups(table_a, caps):
-        for db, nz_b, full_b, states_b in groups_b:
-            if full_a & nz_b or full_b & nz_a:
-                continue
-            yield tuple(map(add, da, db)), states_a, states_b
-
-
-def _degree_groups(table, caps):
-    """(degree vector, mask of nonzero positions, mask of positions at
-    capacity, the states with that vector) per degree vector in table."""
+def _degree_groups(table, low, one):
+    """(code, nonzero mask, at-capacity mask, [(pairs, closed, witness)])
+    per degree code in table; low marks every position, one those of cap 1."""
     states = {}
-    for state in table:
-        states.setdefault(state[0], []).append(state)
-    groups = []
-    for degs, group in states.items():
-        nz = full = 0
-        for i, (d, cap) in enumerate(zip(degs, caps)):
-            if d:
-                nz |= 1 << i
-                if d == cap:
-                    full |= 1 << i
-        groups.append((degs, nz, full, group))
-    return groups
+    for (degs, pairs, closed), wit in table.items():
+        states.setdefault(degs, []).append((pairs, closed, wit))
+    return [(d, (d | d >> 1) & low, d >> 1 & low | d & one, g) for d, g in states.items()]
 
 
 class _PathDP:
@@ -180,12 +166,12 @@ class _PathDP:
         self.matching = matching
         self.closes = closes
         self.boundary = boundary
-        self.merges = 0  # distinct pairs of pairings merged, over all joins
+        self.merges = 0  # distinct pairs of pairings spliced, over all joins
 
     def run(self):
         """The edge ids of one answer, or None."""
         root = self.root_table()
-        key = ((), frozenset(), self.closes)
+        key = (0, frozenset(), self.closes)
         if key not in root:
             return None
         edges = []
@@ -206,7 +192,7 @@ class _PathDP:
             kind = self.td.kind[node]
             bag = tuple(sorted(self.td.bags[node]))
             if kind == "leaf":
-                table = {((), frozenset(), False): None}
+                table = {(0, frozenset(), False): None}
             elif kind == "introduce":
                 table = self._introduce(tables, node, bag)
             elif kind == "forget":
@@ -228,21 +214,23 @@ class _PathDP:
 
     def _introduce(self, tables, node, bag):
         (child,) = self.td.children[node]
-        pos = bag.index(self.td.distinguished(node))
+        shift = 2 * bag.index(self.td.distinguished(node))
+        low = (1 << shift) - 1
         return {
-            (degs[:pos] + (0,) + degs[pos:], pairs, closed): wit
+            ((degs >> shift << shift + 2) | (degs & low), pairs, closed): wit
             for (degs, pairs, closed), wit in tables[child].items()
         }
 
     def _forget(self, tables, node, bag):
         (child,) = self.td.children[node]
         v = self.td.distinguished(node)
-        pos = sorted(self.td.bags[child]).index(v)
+        shift = 2 * sorted(self.td.bags[child]).index(v)
+        low = (1 << shift) - 1
         need = self.required.get(v)
         checked = v not in self.boundary  # a boundary vertex's ends are tokens
         out = {}
         for (degs, pairs, closed), wit in tables[child].items():
-            d = degs[pos]
+            d = degs >> shift & 3
             if checked:
                 if (d != need) if need else (d == 1):
                     continue
@@ -252,59 +240,65 @@ class _PathDP:
                         if p not in self.matching:
                             continue
                         pairs = pairs - {p}
-            out.setdefault((degs[:pos] + degs[pos + 1 :], pairs, closed), wit)
+            out.setdefault(((degs >> shift + 2 << shift) | (degs & low), pairs, closed), wit)
         return out
 
     def _join(self, tables, node, bag):
         a, b = self.td.children[node]
-        ta, tb = tables[a], tables[b]
-        caps = tuple(self.required.get(v, 2) for v in bag)
-        bpos = [i for i, v in enumerate(bag) if v in self.boundary]
+        low = (1 << 2 * len(bag)) // 3  # binary 0101...01: each position's low bit
+        one = sum(1 << 2 * i for i, v in enumerate(bag) if self.required.get(v) == 1)
+        boundary = sum(1 << 2 * i for i, v in enumerate(bag) if v in self.boundary)
+        groups_b = _degree_groups(tables[b], low, one)
         out = {}
         settled = {}
-        for degs, states_a, states_b in _compatible_groups(ta, tb, caps):
-            renamed = None
-            if bpos:  # a boundary vertex with a path end on each side
-                da, db = states_a[0][0], states_b[0][0]
-                shifted = {(bag[i], 0) for i in bpos if da[i] and db[i]}
-                if shifted:  # takes the token (v, 1) on the second side
-                    renamed = {kb[1]: _renumbered(kb[1], shifted) for kb in states_b}
-            for ka in states_a:
-                _, pa, ca = ka
-                for kb in states_b:
-                    _, pb, cb = kb
-                    if ca and cb:
-                        continue
-                    if renamed:
-                        pb = renamed[pb]
-                    m = settled.get((pa, pb), False)
-                    if m is False:
-                        m = settled[pa, pb] = self._settle(_merge(pa, pb), bag)
-                    if m is None:
-                        continue
-                    pairs, closes = m
-                    if closes and (ca or cb):
-                        continue
-                    closed = ca or cb or closes
-                    if closed and pairs:
-                        continue
-                    key = (degs, pairs, closed)
-                    if key not in out:
-                        out[key] = (ta[ka], tb[kb])
+        for da, nz_a, full_a, states_a in _degree_groups(tables[a], low, one):
+            for db, nz_b, full_b, states_b in groups_b:
+                if full_a & nz_b or full_b & nz_a:
+                    continue
+                degs = da + db
+                meet = nz_a & nz_b
+                if not meet:  # disjoint ends: the pairings combine as they are
+                    for pa, ca, wa in states_a:
+                        for pb, cb, wb in states_b:
+                            pairs = pa | pb
+                            # one closed cycle at most, and nothing beside it
+                            if (ca or cb) and (pairs or ca and cb):
+                                continue
+                            out.setdefault((degs, pairs, ca or cb), (wa, wb))
+                    continue
+                # a closed side is at capacity wherever it is nonzero, so it
+                # meets nothing: the paths here are open
+                both = meet & boundary  # boundary vertices with a path end on each side
+                if both:  # each takes the token (v, 1) on the second side
+                    shifted = {(v, 0) for i, v in enumerate(bag) if both >> 2 * i & 1}
+                    states_b = [(_renumbered(pb, shifted), cb, wb) for pb, cb, wb in states_b]
+                for pa, _, wa in states_a:
+                    for pb, _, wb in states_b:
+                        m = settled.get((pa, pb), False)
+                        if m is False:
+                            m = settled[pa, pb] = self._settle(_merge(pa, pb), bag)
+                        if m is None:
+                            continue
+                        pairs, closes = m
+                        if closes and pairs:
+                            continue
+                        out.setdefault((degs, pairs, closes), (wa, wb))
         self.merges += len(settled)
         return out
 
     def _edge(self, table, bag, eid):
         u, v = self.g.edges[eid]
-        iu, iv = bag.index(u), bag.index(v)
+        su, sv = 2 * bag.index(u), 2 * bag.index(v)
+        step = (1 << su) + (1 << sv)
         cu, cv = self.required.get(u, 2), self.required.get(v, 2)
         ends_u, ends_v = self._ends(u), self._ends(v)
         out = dict(table)
         settled = {}
         for (degs, pairs, closed), wit in table.items():
-            if closed or degs[iu] >= cu or degs[iv] >= cv:
+            du, dv = degs >> su & 3, degs >> sv & 3
+            if closed or du >= cu or dv >= cv:
                 continue
-            path = (ends_u[degs[iu]], ends_v[degs[iv]])
+            path = (ends_u[du], ends_v[dv])
             m = settled.get((pairs, path), False)
             if m is False:
                 m = settled[pairs, path] = self._settle(_merge(pairs, (path,)), bag)
@@ -313,10 +307,7 @@ class _PathDP:
             npairs, closes = m
             if closes and npairs:
                 continue
-            ndegs = list(degs)
-            ndegs[iu] += 1
-            ndegs[iv] += 1
-            out.setdefault((tuple(ndegs), npairs, closes), (wit, eid))
+            out.setdefault((degs + step, npairs, closes), (wit, eid))
         return out
 
     def _ends(self, v):

@@ -67,6 +67,8 @@ def parse(text):
     for v in rotation:
         if v not in vset:
             raise ParseError(f"rotation for undeclared vertex {v}")
+    if outer and not outer <= vset:
+        raise ParseError(f"outer face names undeclared vertex {min(outer - vset)}")
     return EmbeddedGraph(vset, edges, rotation, terminals, outer)
 
 

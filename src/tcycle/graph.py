@@ -82,6 +82,8 @@ class EmbeddedGraph:
                     raise UnknownVertex(f"edge {eid} touches unknown vertex")
         if not self.terminals <= vertices:
             raise UnknownVertex("terminal is not a vertex")
+        if self.outer_hint and not self.outer_hint <= vertices:
+            raise UnknownVertex("outer face hint names a vertex that is not in the graph")
         # one multiset of (vertex, edge end) pairs on each side, counted in C
         # and compared as plain dicts (no count is zero, and Counter's own ==
         # loops in Python); the per-vertex scan runs only to name a vertex
@@ -160,6 +162,8 @@ class EmbeddedGraph:
         keep = frozenset(keep)
         if keep == self.vertices:
             return self
+        if not keep <= self.vertices:
+            raise UnknownVertex("subgraph keeps a vertex that is not in the graph")
         rotation = self.rotation
         cut = {e for v in self.vertices - keep for e in rotation.get(v, ())}
         rot = {v: rotation[v] for v in keep if v in rotation}

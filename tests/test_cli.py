@@ -53,6 +53,15 @@ def test_bare_rotation_line_is_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_undeclared_outer_vertex_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "outer.txt"
+    path.write_text("v 1\nv 2\ne 1 1 2\nrot 1 1\nrot 2 1\nouter 99\n")
+    assert main(["solve", str(path)]) == 2
+    assert main(["reduce", str(path), str(tmp_path / "out.txt")]) == 2
+    assert not (tmp_path / "out.txt").exists()
+    assert "undeclared vertex 99" in capsys.readouterr().err
+
+
 def test_reduce_writes_graph_and_report(tmp_path, capsys):
     depth = 6
     g = generate.nested_rings(depth)

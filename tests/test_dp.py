@@ -1,6 +1,7 @@
 import logging
 import random
 from collections import Counter
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from tcycle.oracle import (
     brute_t_cycle,
     is_t_loop,
 )
-from tcycle.treewidth import build, make_nice
+from tcycle.treewidth import NiceTreeDecomposition, build, make_nice
 
 
 def test_triangle_yes():
@@ -103,6 +104,25 @@ def test_invalid_decomposition_rejected():
     other = build(generate.path_graph(3))
     with pytest.raises(InvalidDecomposition):
         solve_t_cycle(g, {1, 2}, other)
+
+
+def test_nice_decomposition_with_a_nonempty_root_rejected():
+    # the nice form's root forgets the last vertex; dropping it leaves a
+    # valid decomposition whose root bag is {10}
+    g = generate.grid(3, 4, terminals={1, 12})
+    td = make_nice(build(g))
+    (top,) = td.children[td.root]
+    assert td.bags[top] == {10}
+    rest = [n for n in td.bags if n != td.root]
+    cut = NiceTreeDecomposition(
+        {n: td.bags[n] for n in rest}, {n: td.kind[n] for n in rest},
+        {n: td.children[n] for n in rest}, top,
+    )
+    cut.validate(g)
+    assert solve_t_cycle(g) is not None
+    assert solve_t_cycle(g, td=td) is not None
+    with pytest.raises(InvalidDecomposition, match="root bag is not empty"):
+        solve_t_cycle(g, td=cut)
 
 
 def test_boundary_linkages_small_cases():
@@ -231,8 +251,38 @@ def test_bad_witness_raises(monkeypatch):
 # -- the two DPs before the fold into one engine, kept as the reference ------
 
 _log = logging.getLogger("tests.reference_dp")
-_compatible_groups = dp._compatible_groups
 _merge = dp._merge
+
+
+def _compatible_groups(table_a, table_b, caps):
+    """Pair up the degree-vector groups of two child tables whose summed
+    degrees stay within caps; yields (summed degrees, states of a, states
+    of b).  A state is a tuple whose first field is its degree vector, and
+    no degree in either table exceeds its cap."""
+    groups_b = _degree_groups(table_b, caps)
+    for da, nz_a, full_a, states_a in _degree_groups(table_a, caps):
+        for db, nz_b, full_b, states_b in groups_b:
+            if full_a & nz_b or full_b & nz_a:
+                continue
+            yield tuple(map(add, da, db)), states_a, states_b
+
+
+def _degree_groups(table, caps):
+    """(degree vector, mask of nonzero positions, mask of positions at
+    capacity, the states with that vector) per degree vector in table."""
+    states = {}
+    for state in table:
+        states.setdefault(state[0], []).append(state)
+    groups = []
+    for degs, group in states.items():
+        nz = full = 0
+        for i, (d, cap) in enumerate(zip(degs, caps)):
+            if d:
+                nz |= 1 << i
+                if d == cap:
+                    full |= 1 << i
+        groups.append((degs, nz, full, group))
+    return groups
 
 
 class _TCycleDP:
@@ -609,11 +659,24 @@ class Lockstep(dp._PathDP):
         return got
 
 
+def code(degs):
+    """A degree vector as the engine's degree code: 2 bits per position."""
+    return sum(d << 2 * i for i, d in enumerate(degs))
+
+
+def packed(key):
+    """A reference T-Cycle state as the engine keeps it: the degree vector
+    packed."""
+    degs, pairs, closed = key
+    return code(degs), pairs, closed
+
+
 def untagged(key):
-    """A reference linkage state as the engine keeps it: tags stripped
-    from the path ends, the completed pairs dropped, never closed."""
+    """A reference linkage state as the engine keeps it: the degree vector
+    packed, tags stripped from the path ends, the completed pairs dropped,
+    never closed."""
     degs, frags, _done = key
-    return degs, frozenset(frozenset(end for _, end in f) for f in frags), False
+    return code(degs), frozenset(frozenset(end for _, end in f) for f in frags), False
 
 
 def join_instances():
@@ -646,7 +709,7 @@ def test_every_node_matches_the_reference():
         T = frozenset(T)
         ref = _TCycleDP(g, T, td, assign)
         new = Lockstep(
-            ref, {((), frozenset(), False): None}, lambda k: k,
+            ref, {((), frozenset(), False): None}, packed,
             "t-cycle", g, td, assign, dict.fromkeys(T, 2), frozenset(), True,
         )
         wit = new.run()
@@ -670,6 +733,58 @@ def test_every_node_matches_the_reference():
     # the same decompositions, so both problems meet the same nodes
     assert steps["t-cycle"] == steps["linkage"]
     assert steps["t-cycle"]["_join"] > 500 and steps["t-cycle"]["_edge"] > 500
+
+
+def _one_node_dp(bags, kind, children, root, required=None, boundary=frozenset()):
+    """The engine on a hand-made decomposition, for one step at a time."""
+    td = NiceTreeDecomposition(bags, kind, children, root)
+    return dp._PathDP("t-cycle", None, td, {}, required or {}, frozenset(), True, boundary)
+
+
+def _lone_state(degs):
+    """A one-state table: degrees degs, no open path, not closed."""
+    return {(code(degs), frozenset(), False): None}
+
+
+@st.composite
+def degree_vectors(draw):
+    """(caps, a, b, pos): caps of 1 or 2 per bag position, two degree
+    vectors within them, and a position."""
+    caps = draw(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=9))
+    a, b = (tuple(draw(st.integers(0, c)) for c in caps) for _ in range(2))
+    return caps, a, b, draw(st.integers(0, len(caps) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_vectors())
+def test_degree_code_matches_degree_tuples(case):
+    caps, a, b, pos = case
+    bag = tuple(range(1, len(caps) + 1))
+    required = {v: 1 for v, c in zip(bag, caps) if c == 1}
+    # the join's masks admit a pair iff each position's sum is within its cap
+    join = _one_node_dp(
+        {0: bag, 1: bag, 2: bag}, {0: "leaf", 1: "leaf", 2: "join"},
+        {0: [], 1: [], 2: [0, 1]}, 2, required,
+    )
+    out = join._join({0: _lone_state(a), 1: _lone_state(b)}, 2, bag)
+    summed = tuple(map(add, a, b))
+    fits = all(s <= c for s, c in zip(summed, caps))
+    assert set(out) == ({(code(summed), frozenset(), False)} if fits else set())
+    # and the summed code is the code of the summed degrees, carry-free
+    assert code(a) + code(b) == code(summed)
+    if fits:
+        assert [code(a) + code(b) >> 2 * i & 3 for i in range(len(bag))] == list(summed)
+    # introduce inserts a 0 at the new vertex's position, forget deletes it
+    v = bag[pos]
+    rest = bag[:pos] + bag[pos + 1 :]
+    steps = _one_node_dp(
+        {0: rest, 1: bag, 2: rest}, {0: "leaf", 1: "introduce", 2: "forget"},
+        {0: [], 1: [0], 2: [1]}, 2, boundary=frozenset({v}),  # forgotten at any degree
+    )
+    got = steps._introduce({0: _lone_state(a[:pos] + a[pos + 1 :])}, 1, bag)
+    assert set(got) == {(code(a[:pos] + (0,) + a[pos + 1 :]), frozenset(), False)}
+    got = steps._forget({1: _lone_state(a)}, 2, rest)
+    assert set(got) == {(code(a[:pos] + a[pos + 1 :]), frozenset(), False)}
 
 
 def _pairing(vertices):

@@ -211,6 +211,17 @@ def test_parse_errors():
         parse("v 1\nv 2\ne 1 1 3\n")
     with pytest.raises(ParseError):
         parse("q 1\n")
+    with pytest.raises(ParseError, match="undeclared vertex 99"):
+        parse("v 1\nv 2\nouter 1 99\n")
+
+
+def test_outer_hint_must_name_vertices():
+    # the constructor rejects what parse rejects, so every graph it accepts
+    # round-trips through serialize
+    with pytest.raises(UnknownVertex):
+        EmbeddedGraph({1, 2}, {1: (1, 2)}, {1: (1,), 2: (1,)}, outer_hint={99})
+    g = EmbeddedGraph({1, 2}, {1: (1, 2)}, {1: (1,), 2: (1,)}, outer_hint={1, 2})
+    assert parse(serialize(g)).outer_hint == g.outer_hint
 
 
 def test_parse_bare_rotation_line():
@@ -549,6 +560,8 @@ def test_derived_graphs_match_validated_reference():
     g = generate.grid(3, 3)
     with pytest.raises(UnknownVertex):
         g.with_terminals({1, 99})
+    with pytest.raises(UnknownVertex):
+        g.subgraph({1, 2, 99})
     assert g.with_terminals({1, 9}).terminals == {1, 9}
 
 
