@@ -8,7 +8,7 @@ the chord/zone/type structure used by the rerouting arguments.
 from dataclasses import dataclass
 
 from .errors import InvalidConfiguration, NotACycle, NotDisjoint, NotNested
-from .graph import cycle_vertices, disk_of_cycle, radial_bfs
+from .graph import cycle_vertices, disk_of_cycle, pieces, radial_bfs
 
 
 class ConcentricSequence:
@@ -41,71 +41,12 @@ class ConcentricSequence:
         return len(self.cycles) - 1
 
 
-def check_concentric(graph, cycle_sets):
-    return ConcentricSequence(graph, cycle_sets)
-
-
 def is_isolated(graph, terminals, v, level, emb=None):
     """The radial-distance criterion for isolation: v is level-isolated iff
     every terminal is at radial distance more than level from v.  Terminals
     in other components count as infinitely far."""
     dist = radial_bfs(graph, [v], emb)
     return all(dist.get(t, level + 1) > level for t in terminals)
-
-
-def internally_chordless(graph, disk):
-    """No path with both endpoints on the disk's cycle and all edges in the
-    open interior."""
-    strict = disk.strict_edges
-    if not strict:
-        return True
-    adj = {}
-    for eid in strict:
-        u, v = graph.edges[eid]
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    left = set(adj)
-    while left:
-        s = left.pop()
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    left.discard(y)
-                    stack.append(y)
-        left -= comp
-        if len(comp & disk.cycle_verts) >= 2:
-            return False
-    return True
-
-
-def check_tight(seq):
-    """A concentric sequence is tight if D_0 is internally chordless and no
-    cycle sits strictly between two consecutive disks."""
-    from .oracle import all_cycles
-
-    if not internally_chordless(seq.graph, seq.disks[0]):
-        return False
-    g = seq.graph
-    emb = seq.emb
-    for i in range(seq.depth):
-        inner, outer = seq.disks[i], seq.disks[i + 1]
-        annulus_verts = outer.vertices - inner.vertices
-        annulus_edges = outer.edges - inner.edges
-        sub = g.subgraph(annulus_verts).without_edges(
-            set(g.edges) - annulus_edges
-        )
-        for cyc in all_cycles(sub):
-            try:
-                dk = disk_of_cycle(g, cyc, emb)
-            except NotACycle:
-                continue
-            if inner.inside_faces < dk.inside_faces < outer.inside_faces:
-                return False
-    return True
 
 
 def loop_cost(graph, cycle_sets, loop_edges):
@@ -285,24 +226,9 @@ class CLConfiguration:
             if f1 != f2 and f1 in faces_in and f2 in faces_in:
                 adj[f1].add(f2)
                 adj[f2].add(f1)
-        comps = []
-        left = set(faces_in)
-        while left:
-            s = left.pop()
-            comp = {s}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        left.discard(y)
-                        stack.append(y)
-            left -= comp
-            comps.append(comp)
         zone = frozenset().union(
-            *(frozenset(c) for c in comps if not (c & inner_faces))
-        ) if comps else frozenset()
+            *(c for c in pieces(faces_in, adj.__getitem__) if not c & inner_faces)
+        )
         self._zones[key] = zone
         return zone
 
@@ -457,41 +383,15 @@ class CLConfiguration:
         (classes are the components of the relation graph)."""
         segs = self.segments(j)
         n = len(segs)
-        par = [[False] * n for _ in range(n)]
+        related = [[] for _ in segs]
         for x in range(n):
             for y in range(x + 1, n):
-                par[x][y] = par[y][x] = self.parallel(segs[x], segs[y])
-        classes = []
-        left = set(range(n))
-        while left:
-            s = left.pop()
-            comp = {s}
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in range(n):
-                    if par[x][y] and y not in comp:
-                        comp.add(y)
-                        left.discard(y)
-                        stack.append(y)
-            left -= comp
-            classes.append([segs[i] for i in sorted(comp)])
+                if self.parallel(segs[x], segs[y]):
+                    related[x].append(y)
+                    related[y].append(x)
+        classes = [[segs[i] for i in sorted(c)] for c in pieces(range(n), related.__getitem__)]
         classes.sort(key=lambda c: min(s.vertices for s in c))
         return classes
-
-    def parallel_is_equivalence(self, j):
-        """Check symmetry and transitivity of the relation on C_j-segments."""
-        segs = self.segments(j)
-        n = len(segs)
-        par = [[self.parallel(segs[x], segs[y]) for y in range(n)] for x in range(n)]
-        for x in range(n):
-            for y in range(n):
-                if par[x][y] != par[y][x]:
-                    return False
-                for z in range(n):
-                    if par[x][y] and par[y][z] and not par[x][z]:
-                        return False
-        return True
 
     # -- segment forest ----------------------------------------------------
 

@@ -30,7 +30,8 @@ def isolation_threshold(k):
 
 class IsolationBudget:
     """One base isolation depth g; the pipeline stages derive their
-    thresholds (g, 4g, 5g+1) from it."""
+    thresholds (g and 4g) from it, and no (5g+1)-isolated vertex survives
+    the full pipeline."""
 
     def __init__(self, g):
         if g < 1:
@@ -45,11 +46,6 @@ class IsolationBudget:
     def annulus(self):
         """Deletion threshold for the two-hole safety sweep."""
         return 4 * self.g
-
-    @property
-    def overall(self):
-        """No vertex this isolated survives the full pipeline."""
-        return 5 * self.g + 1
 
 
 class PuncturedInstance:

@@ -18,10 +18,6 @@ class UnknownVertex(TCycleError):
     pass
 
 
-class UnknownEdge(TCycleError):
-    pass
-
-
 class Disconnected(TCycleError):
     """Two vertices that were required to be connected are not."""
 

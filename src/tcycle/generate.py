@@ -321,99 +321,6 @@ def digon_tower(depth, two_terminals=False):
     return g, rings
 
 
-def telescope(depth):
-    """Full polar grid with a loop dipping once to each ring.
-
-    Returns (graph, cycles, loop).  cycles[i] is the edge set of ring i and
-    loop is a T-loop whose outer-level segments have eccentricities
-    1..depth and form a single chain in the segment forest.  Requires
-    depth >= 3.
-    """
-    if depth < 3:
-        raise TCycleError("telescope needs depth >= 3")
-    r = depth
-    M = 2 * r + 4
-    points = {}
-    edges = {}
-    pair = {}
-    eid = 0
-
-    def vid(i, j):
-        return i * M + j % M + 1
-
-    def place(v, rad, angle_steps):
-        a = 2 * math.pi * angle_steps / M
-        points[v] = (rad * math.cos(a), rad * math.sin(a))
-
-    def new(u, v):
-        nonlocal eid
-        eid += 1
-        edges[eid] = (u, v)
-        pair[frozenset((u, v))] = eid
-        return eid
-
-    for i in range(r + 1):
-        for j in range(M):
-            place(vid(i, j), i + 1.0, j)
-    for i in range(r + 1):
-        for j in range(M):
-            new(vid(i, j), vid(i, j + 1))
-    for i in range(r):
-        for j in range(M):
-            new(vid(i, j), vid(i + 1, j))
-    seqv = []
-    terms = set()
-    nxt = (r + 1) * M + 1
-    for j in range(1, r + 1):
-        aj, bj = j, M - 1 - j
-        odd = j % 2 == 1
-        if j < r:
-            ea, xa = (aj, bj) if odd else (bj, aj)
-            seqv += [vid(i, ea) for i in range(r, j - 1, -1)]
-            mids = range(aj + 1, bj) if odd else range(bj - 1, aj, -1)
-            seqv += [vid(j, m) for m in mids]
-            seqv += [vid(i, xa) for i in range(j, r + 1)]
-            # hop outside the outer ring to the next dip's entry
-            x1, x2 = (bj, bj - 1) if odd else (aj, aj + 1)
-            h = nxt
-            nxt += 1
-            place(h, r + 2.0, (x1 + x2) / 2)
-            new(vid(r, x1), h)
-            new(h, vid(r, x2))
-            seqv.append(h)
-            terms.add(h)
-        else:
-            steps = range(aj, bj + 1) if odd else range(bj, aj - 1, -1)
-            seqv += [vid(r, s) for s in steps]
-    # closing arc over the top, back to the first dip's entry
-    end_angle = M - 1 - r if r % 2 == 1 else r
-    prev = vid(r, end_angle)
-    first_arc = None
-    for a in range(end_angle - 1, 1, -1):
-        u = nxt
-        nxt += 1
-        place(u, r + 3.0, a)
-        new(prev, u)
-        prev = u
-        seqv.append(u)
-        if first_arc is None:
-            first_arc = u
-    new(prev, vid(r, 1))
-    terms.add(first_arc)
-    g0 = from_coordinates(points, edges, terminals=terms)
-    emb = g0.embedding()
-    marks = {vid(r, 0), first_arc}
-    outer = next(fverts for fverts in emb.face_vertices if marks <= fverts)
-    g = EmbeddedGraph(set(points), edges, g0.rotation, terms, outer)
-    cycles = [
-        frozenset(pair[frozenset((vid(i, j), vid(i, j + 1)))] for j in range(M))
-        for i in range(r + 1)
-    ]
-    n = len(seqv)
-    loop = [pair[frozenset((seqv[i], seqv[(i + 1) % n]))] for i in range(n)]
-    return g, cycles, loop
-
-
 def random_planar(n, seed, drop=0.3, k=0):
     """Random planar graph from a Delaunay triangulation of n seeded points.
 

@@ -20,12 +20,11 @@ terminals.  Faces and components are computed once per graph and cached.
 """
 
 import logging
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 from .errors import (
-    Disconnected,
     MalformedRotation,
     NonPlanarCertificate,
     NotACycle,
@@ -33,6 +32,25 @@ from .errors import (
 )
 
 _log = logging.getLogger("tcycle.graph")
+
+
+def pieces(nodes, neighbors):
+    """The connected pieces of the graph on the set nodes in which x is
+    joined to each member of neighbors(x) that lies in nodes.  Yields each
+    piece as a set, in order of its least member."""
+    seen = set()
+    for s in sorted(nodes):
+        if s in seen:
+            continue
+        piece = {s}
+        stack = [s]
+        while stack:
+            for y in neighbors(stack.pop()):
+                if y not in piece and y in nodes:
+                    piece.add(y)
+                    stack.append(y)
+        seen |= piece
+        yield piece
 
 
 class EmbeddedGraph:
@@ -113,9 +131,6 @@ class EmbeddedGraph:
     def degree(self, v):
         return len(self.rotation.get(v, ()))
 
-    def incident_edges(self, v):
-        return self.rotation.get(v, ())
-
     def neighbors(self, v):
         out = set()
         for eid in self.rotation.get(v, ()):
@@ -123,10 +138,6 @@ class EmbeddedGraph:
             out.add(b if a == v else a)
         out.discard(v)
         return out
-
-    def other_end(self, eid, v):
-        a, b = self.edges[eid]
-        return b if a == v else a
 
     def components(self):
         """Connected components as a list of frozensets of vertices, in
@@ -136,21 +147,7 @@ class EmbeddedGraph:
             for u, v in self.edges.values():
                 adj[u].append(v)
                 adj[v].append(u)
-            seen = set()
-            out = []
-            for s in sorted(self.vertices):
-                if s in seen:
-                    continue
-                comp = {s}
-                queue = deque([s])
-                while queue:
-                    for y in adj[queue.popleft()]:
-                        if y not in comp:
-                            comp.add(y)
-                            queue.append(y)
-                seen |= comp
-                out.append(frozenset(comp))
-            self._components = out
+            self._components = list(map(frozenset, pieces(self.vertices, adj.__getitem__)))
         return list(self._components)
 
     # -- derived graphs ----------------------------------------------------
@@ -241,16 +238,6 @@ class Embedding:
 
     def faces_of_edge(self, eid):
         return (self.dart_face[2 * eid], self.dart_face[2 * eid + 1])
-
-    def outer_face(self, v=None):
-        """Outer face id of v's component (or of the whole graph if it is
-        connected and v is omitted)."""
-        if v is None:
-            comps = set(self.component_of.values())
-            if len(comps) != 1:
-                raise Disconnected("outer face of a disconnected graph is per component")
-            return self.outer_faces[next(iter(comps))]
-        return self.outer_faces[self.component_of[v]]
 
 
 def _trace_embedding(graph):
@@ -389,17 +376,6 @@ def radial_bfs(graph, sources, emb=None):
     return dist
 
 
-def radial_distance(graph, u, v, emb=None):
-    """d^R(u, v): one less than the shortest vertex sequence from u to v in
-    which consecutive vertices share a face."""
-    dist = radial_bfs(graph, [u], emb)
-    if v not in graph.vertices:
-        raise UnknownVertex(f"vertex {v}")
-    if v not in dist:
-        raise Disconnected(f"{u} and {v} are in different components")
-    return dist[v]
-
-
 # -- cycles and disks ------------------------------------------------------
 
 
@@ -415,25 +391,16 @@ def cycle_vertices(graph, cycle_edges):
         deg[v] += 1
     if not cycle_edges or any(d != 2 for d in deg.values()):
         raise NotACycle("edge set is not 2-regular")
-    verts = set(deg)
+    verts = frozenset(deg)
     # connectivity within the cycle's own edges
     adj = {v: [] for v in verts}
     for eid in cycle_edges:
         u, v = graph.edges[eid]
         adj[u].append(v)
         adj[v].append(u)
-    start = next(iter(verts))
-    comp = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in comp:
-                comp.add(y)
-                queue.append(y)
-    if comp != verts:
+    if next(pieces(verts, adj.__getitem__)) != verts:
         raise NotACycle("edge set has more than one cycle")
-    return frozenset(verts)
+    return verts
 
 
 def cycle_sides(graph, cycle_edges, emb=None):
@@ -457,27 +424,13 @@ def cycle_sides(graph, cycle_edges, emb=None):
         if f1 != f2:
             adj[f1].add(f2)
             adj[f2].add(f1)
-    regions = []
-    left = set(comp_faces)
-    while left:
-        s = left.pop()
-        reg = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in reg:
-                    reg.add(y)
-                    left.discard(y)
-                    queue.append(y)
-        left -= reg
-        regions.append(frozenset(reg))
+    regions = list(pieces(comp_faces, adj.__getitem__))
     if len(regions) != 2:
         raise NotACycle(
             f"cycle does not split its component's faces into two regions "
             f"(got {len(regions)})"
         )
-    return regions[0], regions[1]
+    return frozenset(regions[0]), frozenset(regions[1])
 
 
 @dataclass

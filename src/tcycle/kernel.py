@@ -42,7 +42,7 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import embed_planar
-from .graph import radial_bfs, unembedded
+from .graph import pieces, radial_bfs, unembedded
 from .treewidth import build, lca_closure, make_nice
 
 BOUNDARY_LIMIT = 6
@@ -128,26 +128,6 @@ def protrusion_decompose(graph, modulator, eta, td=None):
 
     adj = {v: rest.neighbors(v) for v in rest.vertices}
 
-    def has_busy_component(vs):
-        seen = set()
-        for s in sorted(vs):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            hits = set(sneigh[s])
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in vs and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-                        hits |= sneigh[y]
-            seen |= comp
-            if len(hits) >= 3:
-                return True
-        return False
-
     subtree = {}
     marked = set()
     marked_below = {}
@@ -158,7 +138,12 @@ def protrusion_decompose(graph, modulator, eta, td=None):
             vs |= subtree[c]
             below = below or marked_below[c]
         subtree[node] = vs
-        if not below and has_busy_component(vs):
+        # a component of the subtree's vertices with three or more
+        # modulator neighbors
+        if not below and any(
+            len(set().union(*map(sneigh.__getitem__, piece))) >= 3
+            for piece in pieces(vs, adj.__getitem__)
+        ):
             marked.add(node)
             below = True
         marked_below[node] = below
@@ -170,24 +155,11 @@ def protrusion_decompose(graph, modulator, eta, td=None):
 
     leftover = graph.vertices - x0
     groups = {}
-    seen = set()
-    for s in sorted(leftover):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in graph.neighbors(x):
-                if y in leftover and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        nb = frozenset()
+    for comp in pieces(leftover, graph.neighbors):
+        nb = set()
         for v in comp:
             nb |= graph.neighbors(v)
-        nb = frozenset(nb - comp)
-        groups.setdefault(nb, set()).update(comp)
+        groups.setdefault(frozenset(nb - comp), set()).update(comp)
     keys = sorted(groups, key=lambda b: (sorted(b), min(groups[b], default=0)))
     parts = [frozenset(groups[b]) for b in keys]
     return ProtrusionDecomposition(frozenset(x0), parts, list(keys), eta)
@@ -440,43 +412,25 @@ def _rim_reps(protrusion, boundary):
     except TCycleError:
         return
     B = set(boundary)
-    parent = {v: v for v in protrusion.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            ra, rb = sorted((ra, rb))
-            parent[rb] = ra
-
     for walk, fverts in zip(emb.walks, emb.face_vertices):
         if not walk or not B <= fverts:
             continue
         seq = [protrusion.edges[d >> 1][d & 1] for d in walk]
         start = next(i for i, v in enumerate(seq) if v in B)
         seq = seq[start:] + seq[:start]
-        for v in parent:
-            parent[v] = v
-        anchor = None
-        for v in seq:
-            if v in B:
-                anchor = None
-            else:
-                if anchor is not None:
-                    union(anchor, v)
-                anchor = v
+        link = {v: [] for v in seq}
+        for a, b in zip(seq, seq[1:]):
+            if a not in B and b not in B:
+                link[a].append(b)
+                link[b].append(a)
         rim = set(seq)
-        left = protrusion.vertices - rim
-        for s in sorted(left):
-            for y in protrusion.neighbors(s):
-                if y in left:
-                    union(s, y)
-        yield {v: (v if v in B else find(v)) for v in protrusion.vertices}
+        label = {}
+        for piece in itertools.chain(
+            pieces(rim - B, link.__getitem__),
+            pieces(protrusion.vertices - rim, protrusion.neighbors),
+        ):
+            label.update(dict.fromkeys(piece, min(piece)))
+        yield {v: label.get(v, v) for v in protrusion.vertices}
 
 
 def verify_minor_map(host, pattern, branch):

@@ -387,6 +387,8 @@ class IsolationOracle:
     def query(self, v, terminals, level):
         if v not in self.graph.vertices:
             raise UnknownVertex(f"vertex {v}")
+        if level < 0:
+            raise InvalidConfiguration(f"isolation level {level} is negative")
         vbit = 1 << self.vidx[v]
         tmask = 0
         for t in terminals:

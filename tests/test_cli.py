@@ -109,6 +109,14 @@ def test_kernelize_budget_zero_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_oracle_isolation_negative_level_is_exit_2(tmp_path, capsys):
+    inst = write_instance(tmp_path / "in.txt", generate.ring(4, terminals={1}))
+    assert main(["oracle", "isolation", inst, "3", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_td_output_round_trips(tmp_path, capsys):
     g = generate.grid(3, 4)
     inst = write_instance(tmp_path / "g.txt", g)

@@ -8,9 +8,6 @@ from tcycle import generate
 from tcycle.cycles import (
     CLConfiguration,
     ConcentricSequence,
-    check_concentric,
-    check_tight,
-    internally_chordless,
     is_isolated,
     loop_cost,
 )
@@ -19,8 +16,159 @@ from tcycle.errors import (
     NotACycle,
     NotDisjoint,
     NotNested,
+    TCycleError,
 )
-from tcycle.oracle import ISOLATION_LIMIT, brute_isolation, enumerate_cheap_loops
+from tcycle.graph import EmbeddedGraph, disk_of_cycle, pieces
+from tcycle.oracle import (
+    ISOLATION_LIMIT,
+    all_cycles,
+    brute_isolation,
+    enumerate_cheap_loops,
+)
+
+
+def internally_chordless(graph, disk):
+    """No path with both endpoints on the disk's cycle and all edges in the
+    open interior."""
+    adj = {}
+    for eid in disk.strict_edges:
+        u, v = graph.edges[eid]
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return all(len(piece & disk.cycle_verts) < 2 for piece in pieces(adj, adj.__getitem__))
+
+
+def check_tight(seq):
+    """A concentric sequence is tight if D_0 is internally chordless and no
+    cycle sits strictly between two consecutive disks."""
+    if not internally_chordless(seq.graph, seq.disks[0]):
+        return False
+    g = seq.graph
+    emb = seq.emb
+    for i in range(seq.depth):
+        inner, outer = seq.disks[i], seq.disks[i + 1]
+        annulus_verts = outer.vertices - inner.vertices
+        annulus_edges = outer.edges - inner.edges
+        sub = g.subgraph(annulus_verts).without_edges(
+            set(g.edges) - annulus_edges
+        )
+        for cyc in all_cycles(sub):
+            try:
+                dk = disk_of_cycle(g, cyc, emb)
+            except NotACycle:
+                continue
+            if inner.inside_faces < dk.inside_faces < outer.inside_faces:
+                return False
+    return True
+
+
+def parallel_is_equivalence(q, j):
+    """Check symmetry and transitivity of the parallel relation on the
+    C_j-segments of configuration q."""
+    segs = q.segments(j)
+    n = len(segs)
+    par = [[q.parallel(segs[x], segs[y]) for y in range(n)] for x in range(n)]
+    for x in range(n):
+        for y in range(n):
+            if par[x][y] != par[y][x]:
+                return False
+            for z in range(n):
+                if par[x][y] and par[y][z] and not par[x][z]:
+                    return False
+    return True
+
+
+def telescope(depth):
+    """Full polar grid with a loop dipping once to each ring.
+
+    Returns (graph, cycles, loop).  cycles[i] is the edge set of ring i and
+    loop is a T-loop whose outer-level segments have eccentricities
+    1..depth and form a single chain in the segment forest.  Requires
+    depth >= 3.
+    """
+    if depth < 3:
+        raise TCycleError("telescope needs depth >= 3")
+    r = depth
+    M = 2 * r + 4
+    points = {}
+    edges = {}
+    pair = {}
+    eid = 0
+
+    def vid(i, j):
+        return i * M + j % M + 1
+
+    def place(v, rad, angle_steps):
+        a = 2 * math.pi * angle_steps / M
+        points[v] = (rad * math.cos(a), rad * math.sin(a))
+
+    def new(u, v):
+        nonlocal eid
+        eid += 1
+        edges[eid] = (u, v)
+        pair[frozenset((u, v))] = eid
+        return eid
+
+    for i in range(r + 1):
+        for j in range(M):
+            place(vid(i, j), i + 1.0, j)
+    for i in range(r + 1):
+        for j in range(M):
+            new(vid(i, j), vid(i, j + 1))
+    for i in range(r):
+        for j in range(M):
+            new(vid(i, j), vid(i + 1, j))
+    seqv = []
+    terms = set()
+    nxt = (r + 1) * M + 1
+    for j in range(1, r + 1):
+        aj, bj = j, M - 1 - j
+        odd = j % 2 == 1
+        if j < r:
+            ea, xa = (aj, bj) if odd else (bj, aj)
+            seqv += [vid(i, ea) for i in range(r, j - 1, -1)]
+            mids = range(aj + 1, bj) if odd else range(bj - 1, aj, -1)
+            seqv += [vid(j, m) for m in mids]
+            seqv += [vid(i, xa) for i in range(j, r + 1)]
+            # hop outside the outer ring to the next dip's entry
+            x1, x2 = (bj, bj - 1) if odd else (aj, aj + 1)
+            h = nxt
+            nxt += 1
+            place(h, r + 2.0, (x1 + x2) / 2)
+            new(vid(r, x1), h)
+            new(h, vid(r, x2))
+            seqv.append(h)
+            terms.add(h)
+        else:
+            steps = range(aj, bj + 1) if odd else range(bj, aj - 1, -1)
+            seqv += [vid(r, s) for s in steps]
+    # closing arc over the top, back to the first dip's entry
+    end_angle = M - 1 - r if r % 2 == 1 else r
+    prev = vid(r, end_angle)
+    first_arc = None
+    for a in range(end_angle - 1, 1, -1):
+        u = nxt
+        nxt += 1
+        place(u, r + 3.0, a)
+        new(prev, u)
+        prev = u
+        seqv.append(u)
+        if first_arc is None:
+            first_arc = u
+    new(prev, vid(r, 1))
+    terms.add(first_arc)
+    g0 = generate.from_coordinates(points, edges, terminals=terms)
+    emb = g0.embedding()
+    marks = {vid(r, 0), first_arc}
+    outer = next(fverts for fverts in emb.face_vertices if marks <= fverts)
+    g = EmbeddedGraph(set(points), edges, g0.rotation, terms, outer)
+    cycles = [
+        frozenset(pair[frozenset((vid(i, j), vid(i, j + 1)))] for j in range(M))
+        for i in range(r + 1)
+    ]
+    n = len(seqv)
+    loop = [pair[frozenset((seqv[i], seqv[(i + 1) % n]))] for i in range(n)]
+    return g, cycles, loop
 
 
 def nested_ring_cycles(num_rings, ring_size=3):
@@ -30,28 +178,28 @@ def nested_ring_cycles(num_rings, ring_size=3):
 
 def test_concentric_valid():
     g, cyc = nested_ring_cycles(4)
-    seq = check_concentric(g, cyc)
+    seq = ConcentricSequence(g, cyc)
     assert seq.depth == 3
     with pytest.raises(InvalidConfiguration):
-        check_concentric(g, [])
+        ConcentricSequence(g, [])
 
 
 def test_concentric_rejects_shared_vertices():
     g, cyc = nested_ring_cycles(3)
     with pytest.raises(NotDisjoint):
-        check_concentric(g, [cyc[0], cyc[0]])
+        ConcentricSequence(g, [cyc[0], cyc[0]])
 
 
 def test_concentric_rejects_wrong_order():
     g, cyc = nested_ring_cycles(3)
     with pytest.raises(NotNested):
-        check_concentric(g, [cyc[1], cyc[0]])
+        ConcentricSequence(g, [cyc[1], cyc[0]])
 
 
 def test_concentric_rejects_non_cycles():
     g, cyc = nested_ring_cycles(3)
     with pytest.raises(NotACycle):
-        check_concentric(g, [cyc[0], frozenset(list(cyc[1])[:2])])
+        ConcentricSequence(g, [cyc[0], frozenset(list(cyc[1])[:2])])
 
 
 def test_tight_rings():
@@ -140,7 +288,7 @@ def test_brute_isolation_implies_radial(seed):
 
 
 def telescope_config(depth):
-    g, cyc, loop = generate.telescope(depth)
+    g, cyc, loop = telescope(depth)
     seq = ConcentricSequence(g, cyc)
     return g, cyc, loop, CLConfiguration(seq, loop)
 
@@ -187,7 +335,7 @@ def test_telescope_types_and_forest():
     for depth in (3, 4):
         g, cyc, loop, q = telescope_config(depth)
         assert [len(c) for c in q.type_partition(depth)] == [depth]
-        assert q.parallel_is_equivalence(depth)
+        assert parallel_is_equivalence(q, depth)
         forest = q.segment_forest(depth)
         assert sorted(forest["height"]) == list(range(depth))
         assert forest["parent"].count(None) == 1

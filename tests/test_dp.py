@@ -143,7 +143,7 @@ def test_subdivided_instance_shape():
     assert len(subs) == 1
     (w,) = subs
     assert gm.degree(w) == 2
-    assert {gm.other_end(e, w) for e in gm.incident_edges(w)} == {1, 3}
+    assert gm.neighbors(w) == {1, 3}
 
 
 def test_m_cycle_examples():

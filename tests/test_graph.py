@@ -20,8 +20,8 @@ from tcycle.graph import (
     EmbeddedGraph,
     cycle_vertices,
     disk_of_cycle,
+    pieces,
     radial_bfs,
-    radial_distance,
 )
 
 
@@ -47,6 +47,17 @@ def faces_of(emb):
 def face_of_dart_of(emb):
     """(eid, side) -> face id."""
     return {(d >> 1, d & 1): fid for d, fid in emb.dart_face.items()}
+
+
+def radial_distance(graph, u, v, emb=None):
+    """d^R(u, v): one less than the shortest vertex sequence from u to v in
+    which consecutive vertices share a face."""
+    dist = radial_bfs(graph, [u], emb)
+    if v not in graph.vertices:
+        raise UnknownVertex(f"vertex {v}")
+    if v not in dist:
+        raise Disconnected(f"{u} and {v} are in different components")
+    return dist[v]
 
 
 def triangle():
@@ -80,7 +91,7 @@ def test_grid_face_count():
     # 12 vertices, 17 edges -> Euler gives 7 faces (6 squares + outer)
     emb = g.embedding()
     assert len(emb.walks) == 7
-    assert emb.face_vertices[emb.outer_face()] == g.outer_hint
+    assert emb.face_vertices[emb.outer_faces[0]] == g.outer_hint
 
 
 def test_rotation_mismatch_rejected():
@@ -163,7 +174,7 @@ def test_nested_rings_disks():
     g = generate.nested_rings(3)
     rings = generate.ring_ids(3)
     emb = g.embedding()
-    assert emb.face_vertices[emb.outer_face()] == frozenset(rings[2])
+    assert emb.face_vertices[emb.outer_faces[0]] == frozenset(rings[2])
     inner_cycle = [e for e, (u, v) in g.edges.items() if u in rings[0] and v in rings[0]]
     d0 = disk_of_cycle(g, inner_cycle)
     assert d0.vertices == frozenset(rings[0])
@@ -522,6 +533,27 @@ def test_trace_matches_reference_oracle():
         assert emb.component_of == component_of
         assert emb.outer_faces == outer_faces
         assert g.components() == ref_components(g)
+
+
+def test_pieces_match_networkx_components():
+    # the pieces of random induced subgraphs, in order of their least vertex
+    import networkx as nx
+
+    rng = random.Random(4242)
+    cases = split = 0
+    for seed in range(60):
+        g = generate.random_planar(rng.randrange(6, 40), seed=seed + 7000)
+        G = nx.Graph(list(g.edges.values()))
+        G.add_nodes_from(g.vertices)
+        verts = sorted(g.vertices)
+        for _ in range(4):
+            nodes = set(rng.sample(verts, rng.randrange(0, len(verts) + 1)))
+            got = list(pieces(nodes, g.neighbors))
+            want = sorted(map(set, nx.connected_components(G.subgraph(nodes))), key=min)
+            assert got == want, seed
+            cases += 1
+            split += len(got) > 1
+    assert cases == 240 and split >= 100, split
 
 
 def test_serialized_graphs_parse_back_equal():

@@ -711,6 +711,64 @@ def ref_contraction_winner(protrusion, B, target):
     return None
 
 
+def ref_rim_reps(protrusion, boundary):
+    """The rim quotients' rep maps as a union-find built them, kept as a
+    differential reference for the connected-pieces version."""
+    try:
+        emb = protrusion.embedding()
+    except TCycleError:
+        return
+    B = set(boundary)
+    parent = {v: v for v in protrusion.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            ra, rb = sorted((ra, rb))
+            parent[rb] = ra
+
+    for walk, fverts in zip(emb.walks, emb.face_vertices):
+        if not walk or not B <= fverts:
+            continue
+        seq = [protrusion.edges[d >> 1][d & 1] for d in walk]
+        start = next(i for i, v in enumerate(seq) if v in B)
+        seq = seq[start:] + seq[:start]
+        for v in parent:
+            parent[v] = v
+        anchor = None
+        for v in seq:
+            if v in B:
+                anchor = None
+            else:
+                if anchor is not None:
+                    union(anchor, v)
+                anchor = v
+        rim = set(seq)
+        left = protrusion.vertices - rim
+        for s in sorted(left):
+            for y in protrusion.neighbors(s):
+                if y in left:
+                    union(s, y)
+        yield {v: (v if v in B else find(v)) for v in protrusion.vertices}
+
+
+def test_rim_reps_match_union_find_reference():
+    parts = maps = merged = 0
+    for seed, g, B in seeded_parts():
+        got = list(_rim_reps(g, B))
+        assert got == list(ref_rim_reps(g, B)), seed
+        parts += bool(got)
+        maps += len(got)
+        merged += sum(len(set(rep.values())) < len(rep) for rep in got)
+    assert parts >= 100 and maps >= 200 and merged >= 200, (parts, maps, merged)
+
+
 def test_contraction_replacement_matches_embed_every_candidate_reference():
     parts = won = 0
     for seed, g, B in seeded_parts():

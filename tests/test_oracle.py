@@ -269,6 +269,16 @@ def test_isolation_wheel():
     assert not brute_isolation(g, {11}, 10, 1)
 
 
+def test_isolation_rejects_a_negative_level():
+    # the radial criterion calls every vertex (-1)-isolated; the oracle
+    # refuses the level rather than answer it
+    g = generate.ring(4, terminals={1})
+    with pytest.raises(InvalidConfiguration):
+        IsolationOracle(g).query(3, {1}, -1)
+    with pytest.raises(InvalidConfiguration):
+        brute_isolation(g, {1}, 3, -1)
+
+
 def test_max_nested_cycles():
     assert max_nested_cycles(generate.nested_rings(3)) == 3
     assert max_nested_cycles(generate.path_graph(4)) == 0
