@@ -18,10 +18,6 @@ class UnknownVertex(TCycleError):
     pass
 
 
-class Disconnected(TCycleError):
-    """Two vertices that were required to be connected are not."""
-
-
 class ParseError(TCycleError):
     """Bad instance file."""
 
@@ -69,17 +65,12 @@ class VertexSubtreeDisconnected(InvalidDecomposition):
 
 
 class BoundaryTooLarge(TCycleError):
-    """A boundary set is too big to enumerate matchings over."""
+    """A boundary set is too big to profile."""
 
 
 class ModulatorInvalid(TCycleError):
     """The set handed to the protrusion decomposition does not leave a
     graph of small enough width."""
-
-
-class BudgetExceeded(TCycleError):
-    """A search (replacement enumeration, candidate generation) was asked
-    to explore a space larger than its configured budget."""
 
 
 class SpliceError(TCycleError):

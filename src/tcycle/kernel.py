@@ -9,10 +9,9 @@ so a part can be swapped for any smaller graph with an equal profile.
 A profile is read off one boundaried run of the path DP
 (`dp.boundary_linkages`): every boundary vertex ends the paths that reach
 it, so the root table lists each set of boundary-to-boundary segments
-the part holds.  Crossing patterns, closing matchings and cycle-covered
-boundary subsets all follow from those segment sets, and comparing a
-candidate with its target is one profile computation and an equality
-test.
+the part holds.  Crossing patterns and cycle-covered boundary subsets
+both follow from those segment sets, and comparing a candidate with its
+target is one profile computation and an equality test.
 
 A part is replaced only by contraction.  Its candidates are quotients of
 the part by a vertex-to-class map with connected classes, which may drop
@@ -24,9 +23,12 @@ once and shared by the contraction and the final check.  Every swap is
 certified before it is made: the replacement's own profile must equal
 the part's, and its branch sets must pass an independent rooted
 minor-model check.
+
+kernelize runs four stages: reduce, decompose into protrusions,
+decompose each protrusion into subprotrusions, and contract each
+subprotrusion.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -42,7 +44,7 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import embed_planar
-from .graph import pieces, radial_bfs, unembedded
+from .graph import pieces, unembedded
 from .treewidth import build, lca_closure, make_nice
 
 BOUNDARY_LIMIT = 6
@@ -96,7 +98,7 @@ class ProtrusionDecomposition:
         return widest
 
 
-def protrusion_decompose(graph, modulator, eta, td=None):
+def protrusion_decompose(graph, modulator, eta):
     """Split graph into a core x0 containing the modulator and parts that
     each meet x0 in a small boundary.
 
@@ -110,13 +112,9 @@ def protrusion_decompose(graph, modulator, eta, td=None):
     if not S <= graph.vertices:
         raise UnknownVertex(f"modulator vertices {sorted(S - graph.vertices)}")
     rest = graph.subgraph(graph.vertices - S)
-    if td is None:
-        # build validates the decomposition it returns
-        td = build(rest)
-        width = td.width
-    else:
-        width = td.validate(rest)
-    if width > eta:
+    # build validates the decomposition it returns
+    td = build(rest)
+    if td.width > eta:
         raise ModulatorInvalid(
             f"graph minus modulator has width above {eta}"
         )
@@ -168,88 +166,48 @@ def protrusion_decompose(graph, modulator, eta, td=None):
 # -- linkage profiles -------------------------------------------------------
 
 
-def all_matchings(vertices):
-    """Every set of disjoint unordered pairs over the given vertices,
-    including the empty one."""
-    vs = sorted(set(vertices))
-
-    def rec(rest):
-        if not rest:
-            yield frozenset()
-            return
-        a = rest[0]
-        yield from rec(rest[1:])
-        for i, b in enumerate(rest[1:]):
-            tail = rest[1 : i + 1] + rest[i + 2 :]
-            for m in rec(tail):
-                yield m | {frozenset((a, b))}
-
-    yield from rec(vs)
-
-
 @dataclass(frozen=True)
 class LinkageProfile:
     boundary: frozenset
     feasible_dp: frozenset
-    feasible_mc: frozenset
     feasible_cycle: frozenset
 
 
-@functools.lru_cache(maxsize=None)
-def _closings(k):
-    """The matchings that close k paths, the i-th with ends 2i and 2i + 1,
-    into one cycle."""
-    ends = frozenset(frozenset((2 * i, 2 * i + 1)) for i in range(k))
-    return tuple(m for m in all_matchings(range(2 * k)) if _merge(ends, m) == (frozenset(), 1))
-
-
-def linkage_profile(graph, boundary, td=None):
+def linkage_profile(graph, boundary):
     """How the graph can serve a loop that crosses its boundary.
 
-    Three feasibility sets: crossing patterns (pair sets with each
-    boundary vertex in at most two, realized by paths meeting the
-    boundary in exactly the pattern's vertices), matchings that close
-    into one cycle through fresh middle vertices, and boundary subsets
-    lying together on some cycle.  Patterns rather than matchings in the
-    first set because a loop may run straight through a boundary vertex
-    inside the part, consuming it without stopping; the cycle set matters
-    when an entire loop fits inside the part, which no path pattern can
-    express.
+    Two feasibility sets: crossing patterns (pair sets with each boundary
+    vertex in at most two, realized by paths meeting the boundary in
+    exactly the pattern's vertices) and boundary subsets lying together
+    on some cycle.  Patterns rather than matchings because a loop may run
+    straight through a boundary vertex inside the part, consuming it
+    without stopping; the cycle set matters when an entire loop fits
+    inside the part, which no path pattern can express.
 
-    All three are read off one boundary run of the path DP, which lists
-    the sets of boundary-to-boundary segments the graph holds.  Spliced
-    at their shared ends, the segments of a set form paths and cycles, a
+    Both are read off one boundary run of the path DP, which lists the
+    sets of boundary-to-boundary segments the graph holds.  Spliced at
+    their shared ends, the segments of a set form paths and cycles, a
     loop segment or a doubled pair counting as a cycle.  A set with no
-    cycle is a crossing pattern, and a matching on its path ends is
-    feasible when it closes the paths into one cycle.  A set that forms
-    one cycle and no path puts every non-empty subset of its vertices on
-    a cycle."""
+    cycle is a crossing pattern.  A set that forms one cycle and no path
+    puts every non-empty subset of its vertices on a cycle."""
     B = frozenset(boundary)
     if len(B) > BOUNDARY_LIMIT:
         raise BoundaryTooLarge(f"boundary of {len(B)} is over {BOUNDARY_LIMIT}")
     if not B <= graph.vertices:
         raise UnknownVertex(f"boundary vertices {sorted(B - graph.vertices)}")
-    fdp, fmc, fcy = set(), {frozenset()}, set()
-    closing = {}  # path ends -> the matchings that close them into one cycle
-    for segments in boundary_linkages(graph, B, td):
+    fdp, fcy = set(), set()
+    for segments in boundary_linkages(graph, B):
         ends, cycles = frozenset(), 0
         for segment in segments:
             ends, closed = _merge(ends, (segment,))
             cycles += closed
         if not cycles:
             fdp.add(frozenset(map(frozenset, segments)))
-            if ends not in closing:
-                label = [v for p in ends for v in p]
-                closing[ends] = [
-                    frozenset(frozenset((label[a], label[b])) for a, b in m)
-                    for m in _closings(len(ends))
-                ]
-            fmc.update(closing[ends])
         elif cycles == 1 and not ends:
             on = sorted({v for s in segments for v in s})
             for r in range(1, len(on) + 1):
                 fcy.update(map(frozenset, itertools.combinations(on, r)))
-    return LinkageProfile(B, frozenset(fdp), frozenset(fmc), frozenset(fcy))
+    return LinkageProfile(B, frozenset(fdp), frozenset(fcy))
 
 
 # -- replacement by contraction ---------------------------------------------
@@ -281,7 +239,7 @@ def replacement_search(pgraph, boundary):
     return "contraction", found
 
 
-def contraction_replacement(protrusion, boundary, target=None):
+def contraction_replacement(protrusion, boundary, target):
     """A smaller profile-equal graph obtained by contracting the interior.
 
     The result is a minor by construction, certified by explicit branch
@@ -291,8 +249,7 @@ def contraction_replacement(protrusion, boundary, target=None):
     hold the whole boundary; the smallest whose profile still matches wins,
     the levels first on ties.  The profile reads no rotation, so only that
     winner is embedded by a planarity test.  target is the protrusion's
-    profile, computed here when not given.  Returns None when every
-    candidate changes the profile.
+    profile.  Returns None when every candidate changes the profile.
     """
     B = sorted(set(boundary))
     if len(B) > BOUNDARY_LIMIT:
@@ -300,8 +257,6 @@ def contraction_replacement(protrusion, boundary, target=None):
     interior = sorted(protrusion.vertices - set(B))
     if not interior:
         return None
-    if target is None:
-        target = linkage_profile(protrusion, B)
     top = min(CONTRACTED_INTERIOR_LIMIT, len(interior) - 1)
     reps = _contraction_levels(protrusion, B, top)
     reps += itertools.islice(_rim_reps(protrusion, B), RIM_QUOTIENT_LIMIT)
@@ -557,34 +512,15 @@ class KernelReport:
     fates: list = field(default_factory=list)
 
 
-def _linkage_irrelevant_sweep(graph, part, boundary, threshold):
-    """Fixpoint deletion of interior vertices isolated from the boundary."""
-    pg = part_graph(graph, part, boundary)
-    gone = set()
-    while True:
-        # radial distance is symmetric: one BFS from the boundary decides
-        # isolation for every interior vertex
-        dist = radial_bfs(pg, sorted(boundary))
-        far = {
-            v
-            for v in pg.vertices - boundary
-            if dist.get(v, threshold + 1) > threshold
-        }
-        if not far:
-            return gone
-        gone |= far
-        pg = pg.without_vertices(far)
-
-
 def kernelize(graph, terminals=None, budget=None):
     """Shrink the instance while preserving the answer exactly.
 
     Stage 1 removes isolated vertices and yields a boundary set U; stage 2
-    splits off protrusions around U and the terminals; per protrusion,
-    stage 3 deletes interior vertices isolated from its boundary, stage 4
-    splits the rest into subprotrusions, and stage 5 swaps each for the
-    smallest certified contraction with its profile.  Any part that is too big to certify
-    is kept verbatim; report.fates says what became of each part.
+    splits off protrusions around U and the terminals; stage 3 splits each
+    protrusion into subprotrusions, and stage 4 swaps each of those for
+    the smallest certified contraction with its profile.  Any part that is
+    too big to certify is kept verbatim; report.fates says what became of
+    each part.
     """
     T = set(graph.terminals if terminals is None else terminals)
     if not T:
@@ -608,26 +544,13 @@ def kernelize(graph, terminals=None, budget=None):
         return kernel, report
 
     for part, B in zip(decomp.parts, decomp.boundaries):
-        part = part & kernel.vertices
-        if not part:
-            continue
-        t3 = budget.g if budget is not None else isolation_threshold(g0 + len(B))
-        gone = _linkage_irrelevant_sweep(kernel, part, B, t3)
-        if gone:
-            kernel = kernel.without_vertices(gone)
-            part = part - gone
-            report.stages.append(("part-sweep", len(gone) + len(part), len(part)))
-        if not part:
-            continue
         pg = part_graph(kernel, part, B)
         try:
             nested = protrusion_decompose(pg, B, 4 * isolation_threshold(g0 + len(B)))
-            jobs = [(y & part, yb) for y, yb in zip(nested.parts, nested.boundaries)]
+            jobs = zip(nested.parts, nested.boundaries)
         except ModulatorInvalid:
             jobs = [(part, B)]
         for sub, sub_b in jobs:
-            if not sub:
-                continue
             pgraph = part_graph(kernel, sub, sub_b)
             n = len(pgraph.vertices)
             # mid-size parts cap the boundary harder: the segment sets that

@@ -8,7 +8,6 @@ import pytest
 from tcycle import generate
 from tcycle.decomposition import reed_pipeline
 from tcycle.errors import (
-    Disconnected,
     MalformedRotation,
     NonPlanarCertificate,
     NotACycle,
@@ -55,8 +54,6 @@ def radial_distance(graph, u, v, emb=None):
     dist = radial_bfs(graph, [u], emb)
     if v not in graph.vertices:
         raise UnknownVertex(f"vertex {v}")
-    if v not in dist:
-        raise Disconnected(f"{u} and {v} are in different components")
     return dist[v]
 
 
@@ -166,8 +163,7 @@ def test_radial_disconnected():
         {1: (1, 2), 2: (3, 4)},
         {1: (1,), 2: (1,), 3: (2,), 4: (2,)},
     )
-    with pytest.raises(Disconnected):
-        radial_distance(g, 1, 3)
+    assert 3 not in radial_bfs(g, [1])
 
 
 def test_nested_rings_disks():

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from tcycle import generate, kernel
-from tcycle.cycles import is_isolated
-from tcycle.dp import solve_disjoint_paths, solve_m_cycle, solve_t_cycle
+from tcycle.decomposition import IsolationBudget
+from tcycle.dp import solve_disjoint_paths, solve_t_cycle
 from tcycle.errors import (
     BoundaryTooLarge,
     InvalidConfiguration,
@@ -20,10 +20,8 @@ from tcycle.kernel import (
     RIM_QUOTIENT_LIMIT,
     LinkageProfile,
     _contraction_levels,
-    _linkage_irrelevant_sweep,
     _quotient,
     _rim_reps,
-    all_matchings,
     contraction_replacement,
     kernelize,
     linkage_profile,
@@ -70,13 +68,6 @@ def test_protrusion_decompose_rejects_wide_rest():
     g = generate.grid(4, 4)
     with pytest.raises(ModulatorInvalid):
         protrusion_decompose(g, {1}, eta=1)
-
-
-def test_all_matchings_counts():
-    assert sum(1 for _ in all_matchings([])) == 1
-    assert sum(1 for _ in all_matchings([1, 2])) == 2
-    assert sum(1 for _ in all_matchings([1, 2, 3, 4])) == 10
-    assert sum(1 for _ in all_matchings(range(6))) == 76
 
 
 def test_linkage_profile_ring_vs_path():
@@ -143,7 +134,7 @@ def test_replacement_search_limits():
 
 def test_contraction_replacement_ring():
     g = generate.ring(6)
-    found = contraction_replacement(g, [1, 4])
+    found = contraction_replacement(g, [1, 4], linkage_profile(g, [1, 4]))
     assert found is not None
     H, cert = found
     assert set(H.vertices) == {1, 4}
@@ -157,7 +148,7 @@ def test_contraction_replacement_ring():
 def test_contraction_replacement_grid_blob():
     g = generate.grid(4, 4)
     B = [1, 4]
-    found = contraction_replacement(g, B)
+    found = contraction_replacement(g, B, linkage_profile(g, B))
     assert found is not None
     H, cert = found
     assert len(H.vertices) < 16
@@ -167,7 +158,7 @@ def test_contraction_replacement_grid_blob():
 
 def test_verify_minor_map_rejects_bad_certificates():
     g = generate.ring(6)
-    H, cert = contraction_replacement(g, [1, 4])
+    H, cert = contraction_replacement(g, [1, 4], linkage_profile(g, [1, 4]))
     branch = dict(cert["branch_sets"])
     # a branch set missing its own pattern vertex
     bad = dict(branch)
@@ -208,7 +199,7 @@ def test_splice_rejects_bad_inputs():
 
 def test_splice_keeps_parallel_replacement_edges():
     host = generate.ring(6, terminals={1, 4})
-    H, _ = contraction_replacement(host, [1, 4])
+    H, _ = contraction_replacement(host, [1, 4], linkage_profile(host, [1, 4]))
     out = splice(host, set(host.vertices), H, {1, 4})
     assert out.vertices == frozenset({1, 4})
     assert len(out.edges) == 2
@@ -246,6 +237,18 @@ def test_kernelize_preserves_answers():
             brute_t_cycle(g, T) is None
         ), (seed, sorted(T))
         assert_fates_add_up(report)
+
+
+@pytest.mark.parametrize(
+    "k, ceilings", [(2, (82, 122, 162)), (3, (19, 88, 114)), (5, (28, 30, 144))]
+)
+def test_kernelize_grid_sizes_stay_within_ceilings(k, ceilings):
+    # the kernel sizes when the ceilings were set: a change may shrink a
+    # kernel but never grow it
+    for side, ceiling in zip((20, 30, 40), ceilings):
+        g = generate.grid_with_terminals(side, side, k, seed=0)
+        _, report = kernelize(g, budget=IsolationBudget(1))
+        assert report.final_size <= ceiling, (side, k, report.final_size)
 
 
 def assert_fates_add_up(report):
@@ -318,52 +321,8 @@ def test_kernelize_shrinks_long_appendage():
     )
 
 
-def ref_linkage_sweep(graph, part, boundary, threshold):
-    """The sweep as it ran before: one is_isolated call per interior vertex
-    and round."""
-    pg = part_graph(graph, part, boundary)
-    gone = set()
-    while True:
-        emb = pg.embedding()
-        far = {
-            v
-            for v in sorted(pg.vertices - boundary)
-            if is_isolated(pg, boundary, v, threshold, emb)
-        }
-        if not far:
-            return gone
-        gone |= far
-        pg = pg.without_vertices(far)
-
-
-def test_linkage_sweep_equals_per_vertex_reference():
-    rng = random.Random(17)
-    cases = []
-    for seed in range(20):
-        g = generate.random_planar(10 + seed % 15, seed=seed + 300)
-        verts = sorted(g.vertices)
-        boundary = frozenset(rng.sample(verts, rng.randrange(1, 4)))
-        part = frozenset(v for v in verts if v not in boundary and rng.random() < 0.8)
-        cases.append((g, part, boundary))
-    for side in (6, 10):
-        g = generate.grid(side, side)
-        boundary = frozenset(range(1, side + 1))
-        cases.append((g, g.vertices - boundary, boundary))
-    depth = 7
-    g = generate.nested_rings(depth)
-    boundary = frozenset(generate.ring_ids(depth)[-1])
-    cases.append((g, g.vertices - boundary, boundary))
-    swept = 0
-    for g, part, boundary in cases:
-        for threshold in (1, 2, 3):
-            got = _linkage_irrelevant_sweep(g, part, boundary, threshold)
-            assert got == ref_linkage_sweep(g, part, boundary, threshold)
-            swept += len(got)
-    assert swept > 0
-
-
-# -- the profile as it was computed before: one DP per pattern, matching
-# -- and boundary subset, kept as the reference for the one-pass profile
+# -- the profile as it was computed before: one DP per pattern and
+# -- boundary subset, kept as the reference for the one-pass profile
 
 
 def ref_patterns(boundary):
@@ -436,8 +395,7 @@ def ref_pattern_query(graph, boundary, pattern):
 def ref_linkage_profile(graph, boundary):
     """The profile by one disjoint-paths solve per crossing pattern (only
     where every one-pair-smaller pattern passed, as feasibility is monotone
-    under dropping a pair), one M-cycle solve per matching and one T-Cycle
-    solve per boundary subset."""
+    under dropping a pair), and one T-Cycle solve per boundary subset."""
     B = sorted(boundary)
     td = build(graph)
     fdp = set()
@@ -446,18 +404,13 @@ def ref_linkage_profile(graph, boundary):
             continue
         if ref_pattern_query(graph, B, pattern):
             fdp.add(pattern)
-    fmc = {
-        m
-        for m in all_matchings(B)
-        if solve_m_cycle(graph, B, sorted(tuple(sorted(p)) for p in m), td)
-    }
     fcy = {
         frozenset(combo)
         for r in range(1, len(B) + 1)
         for combo in itertools.combinations(B, r)
         if solve_t_cycle(graph, set(combo), td) is not None
     }
-    return LinkageProfile(frozenset(B), frozenset(fdp), frozenset(fmc), frozenset(fcy))
+    return LinkageProfile(frozenset(B), frozenset(fdp), frozenset(fcy))
 
 
 def relabelled(profile, sigma):
@@ -467,7 +420,6 @@ def relabelled(profile, sigma):
     return LinkageProfile(
         frozenset(map(sigma.get, profile.boundary)),
         frozenset(map(pairs, profile.feasible_dp)),
-        frozenset(map(pairs, profile.feasible_mc)),
         frozenset(frozenset(map(sigma.get, s)) for s in profile.feasible_cycle),
     )
 
@@ -506,9 +458,9 @@ def test_profile_matches_reference_on_kernelize_calls(monkeypatch):
     calls = []
     one_pass = kernel.linkage_profile
 
-    def recorded(graph, boundary, td=None):
+    def recorded(graph, boundary):
         calls.append((graph, frozenset(boundary)))
-        return one_pass(graph, boundary, td)
+        return one_pass(graph, boundary)
 
     monkeypatch.setattr(kernel, "linkage_profile", recorded)
     for seed in range(40):
