@@ -280,10 +280,8 @@ def main(argv=None):
         # they have succeeded
         _drop_stdout()
         return 0
-    except TCycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TCycleError, OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError: an input file that is not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Dynamic programming over nice tree decompositions.
+"""Dynamic programming over rooted tree decompositions.
 
 Solves T-Cycle (with witness), vertex-disjoint linkages for a matching,
 and the subdivided M-cycle variant with one engine, `_PathDP`, which also
@@ -18,7 +18,8 @@ graph below the node.  What a problem adds is data:
 
 Path ends are plain vertex ids.  A matched vertex forgotten at degree 1
 stays in the pairing as a sealed end: it never comes back into a bag of
-that subtree, so an end outside the current bag is a sealed one.  A path
+that subtree, so an end that is no longer live (in the node's bag and
+not yet forgotten) is a sealed one.  A path
 whose two ends are both sealed is complete; it must be a pair of the
 matching, and it leaves the state.  At the root every matched vertex has
 been sealed and every completed path checked against the matching, so a
@@ -37,35 +38,44 @@ with none inside, disjoint but for shared ends.  Tokens are numbered,
 not named after their edges, so that paths reaching b along different
 edges give one state, not one per edge.
 
-Each edge of the graph is charged to the node closest to the root whose
-bag contains both endpoints, so it is considered exactly once.  That node
-is the deeper of the two endpoints' topmost nodes: the nodes holding both
-endpoints form a subtree, and its top is whichever of the two topmost
-nodes lies below the other.
+The engine runs on the rooted decomposition itself, not a nice form.  A
+vertex's top node is the one nearest the root whose bag holds it.  The
+node step, children before parents: join the children's tables from the
+last back (as the nice form did), then forget, in sorted order, the
+vertices whose top node this is (the root forgets its whole bag).  Each edge is taken just before the
+first of its endpoints is forgotten, at the deeper of their top nodes:
+the nodes holding both endpoints form a subtree, and that is its top.
+Taken any earlier, say all of a node's edges before its first forget, a
+one-bag decomposition would hold every partial path of the graph at once.
 
 Witnesses are backpointers, not edge sets: None at a leaf, (prev, eid)
 where an edge step took eid, and (wa, wb) at a join.  States share their
 history this way, and the edge set of the answer is rebuilt at the root.
 
-A degree vector is one int, the degree code, with 2 bits per position of
-the sorted bag.  The join groups each child table by code.  With lo and
-hi the low and high bits of every position, lo | hi marks a group's
-nonzero positions and hi | (lo & ONE) those at capacity, ONE marking the
-vertices of required degree 1.  Two groups combine iff neither's full
-positions meet the other's nonzero ones; their summed degrees are the sum
-of the codes, as no cap exceeds 2.  Where the nonzero positions do not
+A degree vector is one int, the degree code, with 2 bits per slot.
+Walking the nodes top-down, each vertex takes at its top node the least
+slot that the bag's other vertices leave free.  Of two vertices sharing a
+bag, the one with the deeper top finds the other in its top's bag, so
+slots are distinct within every bag and below the largest bag's size.  A
+vertex keeps its slot: introducing it costs nothing, forgetting it clears
+two bits.  The join groups each child table by code.  With lo and hi
+the low and high bits of every slot, lo | hi marks a group's nonzero
+slots and hi | (lo & ONE) those at capacity, ONE marking the slots of the
+bag's vertices of required degree 1.  Two groups combine iff neither's
+full slots meet the other's nonzero ones; their summed degrees are the
+sum of the codes, as no cap exceeds 2.  Where the nonzero slots do not
 meet, no path end is on both sides (sealed ends and a forgotten boundary
-vertex's tokens lie below one child), and each side's pairs were settled
-at a node with this bag, so the pairings combine as their union.
-Elsewhere `_merge` splices the open paths, a walk over a mate map of path
-ends, and the merge is settled: complete paths are checked and dropped,
-and cycles counted against what may close.  An edge step is a join with
-the one-path pairing {u, v}.  Each join or edge step keeps the settled
-merge of every pairing it splices while it runs.
+vertex's tokens lie below one child), and neither side holds a complete
+path, so the pairings combine as their union.  Elsewhere `_merge`
+splices the open paths, a walk over a mate map of path ends, and the
+merge is settled: complete paths are checked and dropped, and cycles
+counted against what may close.  An edge step is a join with the
+one-path pairing {u, v}; each such step caches its settled merges.
 
 At the end of a run the engine logs one DEBUG line to the "tcycle.dp"
-logger, named after the problem: nodes, joins, the peak table size and
-the number of distinct pairs of pairings that joins spliced.
+logger, named after the problem: the rooted decomposition's nodes and
+joins (a node with c children makes c - 1), the peak table size and the
+number of distinct pairs of pairings that joins spliced.
 """
 
 import logging
@@ -73,40 +83,20 @@ import logging
 from .errors import InvalidConfiguration, TCycleError
 from .graph import unembedded
 from .oracle import check_matching, is_t_loop
-from .treewidth import NiceTreeDecomposition, TreeDecomposition, build, make_nice
+from .treewidth import NiceTreeDecomposition, TreeDecomposition, build
 
 _log = logging.getLogger("tcycle.dp")
 
 
 def _prepare(graph, td):
-    """Nice decomposition plus the edge-to-node assignment.  A decomposition
-    the caller passes in is validated here, and its nice form checked; one
-    built here already was."""
+    """td validated, and its shape checked when it claims to be nice, or a
+    decomposition built here, which `build` has validated."""
     if td is None:
-        td = make_nice(build(graph))
-    else:
-        td.validate(graph)
-        if isinstance(td, NiceTreeDecomposition):
-            td.check_shape()
-        else:
-            td = make_nice(td)
-    depth = {td.root: 0}
-    top = {}
-    stack = [td.root]
-    while stack:
-        x = stack.pop()
-        for v in td.bags[x]:
-            top.setdefault(v, x)  # parents come first, so this is v's top
-        for c in td.children[x]:
-            depth[c] = depth[x] + 1
-            stack.append(c)
-    assign = {n: [] for n in td.bags}
-    for eid in sorted(graph.edges):
-        u, v = graph.edges[eid]
-        if u == v:
-            continue  # a loop edge is never part of a simple cycle or path
-        assign[max(top[u], top[v], key=depth.__getitem__)].append(eid)
-    return td, assign
+        return build(graph)
+    td.validate(graph)
+    if isinstance(td, NiceTreeDecomposition):
+        td.check_shape()
+    return td
 
 
 def _merge(pa, pb):
@@ -143,7 +133,7 @@ def _renumbered(pairs, tokens):
 
 def _degree_groups(table, low, one):
     """(code, nonzero mask, at-capacity mask, [(pairs, closed, witness)])
-    per degree code in table; low marks every position, one those of cap 1."""
+    per degree code in table; low marks every slot, one those of cap 1."""
     states = {}
     for (degs, pairs, closed), wit in table.items():
         states.setdefault(degs, []).append((pairs, closed, wit))
@@ -151,22 +141,49 @@ def _degree_groups(table, low, one):
 
 
 class _PathDP:
-    """The path DP of the module docstring: required maps vertices to their
-    required degrees, closes is the closed flag of the root's answer, and
-    boundary is the set of vertices whose path ends are tokens."""
+    """The path DP of the module docstring on the rooted decomposition td:
+    required maps vertices to required degrees, closes is the root answer's
+    closed flag, and boundary holds the vertices whose path ends are tokens."""
 
-    def __init__(
-        self, name, graph, td, assign, required, matching, closes, boundary=frozenset()
-    ):
+    def __init__(self, name, graph, td, required, matching, closes, boundary=frozenset()):
         self.name = name
         self.g = graph
         self.td = td
-        self.assign = assign
         self.required = required
         self.matching = matching
         self.closes = closes
         self.boundary = boundary
         self.merges = 0  # distinct pairs of pairings spliced, over all joins
+        _, self.children, order = td.rooted()
+        # top-down, so a vertex not yet slotted is at its top node
+        self.slot = slot = {}
+        self.forget = {}
+        rank = {}  # orders any bag's vertices as they are forgotten
+        for i, x in enumerate(order):
+            bag = td.bags[x]
+            used = {slot[v] for v in bag if v in slot}
+            new = self.forget[x] = sorted(v for v in bag if v not in slot)
+            s = 0
+            for v in new:
+                while s in used:
+                    s += 1
+                slot[v] = s
+                rank[v] = (-i, v)  # a deeper top comes later in order
+                s += 1
+        self.low = (1 << 2 * max(map(len, td.bags.values()))) // 3  # each slot's low bit
+        self.charged = {v: [] for v in slot}
+        for eid in sorted(graph.edges):
+            u, v = graph.edges[eid]
+            if u != v:  # a loop edge is never part of a simple cycle or path
+                self.charged[min(u, v, key=rank.__getitem__)].append(eid)
+        # children before parents, each subtree in one run
+        self.postorder = []
+        stack = [td.root]
+        while stack:
+            x = stack.pop()
+            self.postorder.append(x)
+            stack.extend(self.children[x])
+        self.postorder.reverse()
 
     def run(self):
         """The edge ids of one answer, or None."""
@@ -187,71 +204,62 @@ class _PathDP:
     def root_table(self):
         """The table at the root: state -> witness."""
         tables = {}
-        joins = peak = 0
-        for node in self.td.postorder():
-            kind = self.td.kind[node]
-            bag = tuple(sorted(self.td.bags[node]))
-            if kind == "leaf":
-                table = {(0, frozenset(), False): None}
-            elif kind == "introduce":
-                table = self._introduce(tables, node, bag)
-            elif kind == "forget":
-                table = self._forget(tables, node, bag)
-            else:
-                table = self._join(tables, node, bag)
-                joins += 1
-            for c in self.td.children[node]:
-                del tables[c]
-            for eid in self.assign[node]:
-                table = self._edge(table, bag, eid)
-            tables[node] = table
-            peak = max(peak, len(table))
+        self.peak = 0
+        for node in self.postorder:
+            tables[node] = self._node(tables, node)
         _log.debug(
             self.name + ": %d nodes, %d joins, peak table %d, %d distinct merges",
-            len(self.td.bags), joins, peak, self.merges,
+            len(self.td.bags), sum(max(len(c) - 1, 0) for c in self.children.values()),
+            self.peak, self.merges,
         )
         return tables[self.td.root]
 
-    def _introduce(self, tables, node, bag):
-        (child,) = self.td.children[node]
-        shift = 2 * bag.index(self.td.distinguished(node))
-        low = (1 << shift) - 1
-        return {
-            ((degs >> shift << shift + 2) | (degs & low), pairs, closed): wit
-            for (degs, pairs, closed), wit in tables[child].items()
-        }
+    def _node(self, tables, node):
+        """The node step of the module docstring: node's table."""
+        kids = self.children[node]
+        table = tables.pop(kids[-1]) if kids else {(0, frozenset(), False): None}
+        for c in reversed(kids[:-1]):
+            table = self._join(tables.pop(c), table, node)
+        self.peak = max(self.peak, len(table))
+        live = set(self.td.bags[node])
+        for v in self.forget[node]:
+            for eid in self.charged[v]:
+                table = self._edge(table, eid, live)
+            self.peak = max(self.peak, len(table))
+            live.discard(v)
+            table = self._forget(table, v, live)
+        return table
 
-    def _forget(self, tables, node, bag):
-        (child,) = self.td.children[node]
-        v = self.td.distinguished(node)
-        shift = 2 * sorted(self.td.bags[child]).index(v)
-        low = (1 << shift) - 1
+    def _forget(self, table, v, live):
+        """Drop v from every state; live: the bag vertices not yet forgotten."""
+        shift = 2 * self.slot[v]
+        clear = ~(3 << shift)
         need = self.required.get(v)
         checked = v not in self.boundary  # a boundary vertex's ends are tokens
         out = {}
-        for (degs, pairs, closed), wit in tables[child].items():
+        for (degs, pairs, closed), wit in table.items():
             d = degs >> shift & 3
             if checked:
                 if (d != need) if need else (d == 1):
                     continue
                 if d == 1:  # v is a sealed end now, and its path may be complete
                     p = next(p for p in pairs if v in p)
-                    if p.isdisjoint(bag):
+                    if p.isdisjoint(live):
                         if p not in self.matching:
                             continue
                         pairs = pairs - {p}
-            out.setdefault(((degs >> shift + 2 << shift) | (degs & low), pairs, closed), wit)
+            out.setdefault((degs & clear, pairs, closed), wit)
         return out
 
-    def _join(self, tables, node, bag):
-        a, b = self.td.children[node]
-        low = (1 << 2 * len(bag)) // 3  # binary 0101...01: each position's low bit
-        one = sum(1 << 2 * i for i, v in enumerate(bag) if self.required.get(v) == 1)
-        boundary = sum(1 << 2 * i for i, v in enumerate(bag) if v in self.boundary)
-        groups_b = _degree_groups(tables[b], low, one)
+    def _join(self, table_a, table_b, node):
+        bag = self.td.bags[node]
+        slot = self.slot
+        one = sum(1 << 2 * slot[v] for v in bag if self.required.get(v) == 1)
+        boundary = sum(1 << 2 * slot[v] for v in bag if v in self.boundary)
+        groups_b = _degree_groups(table_b, self.low, one)
         out = {}
         settled = {}
-        for da, nz_a, full_a, states_a in _degree_groups(tables[a], low, one):
+        for da, nz_a, full_a, states_a in _degree_groups(table_a, self.low, one):
             for db, nz_b, full_b, states_b in groups_b:
                 if full_a & nz_b or full_b & nz_a:
                     continue
@@ -270,7 +278,7 @@ class _PathDP:
                 # meets nothing: the paths here are open
                 both = meet & boundary  # boundary vertices with a path end on each side
                 if both:  # each takes the token (v, 1) on the second side
-                    shifted = {(v, 0) for i, v in enumerate(bag) if both >> 2 * i & 1}
+                    shifted = {(v, 0) for v in bag if both >> 2 * slot[v] & 1}
                     states_b = [(_renumbered(pb, shifted), cb, wb) for pb, cb, wb in states_b]
                 for pa, _, wa in states_a:
                     for pb, _, wb in states_b:
@@ -286,9 +294,9 @@ class _PathDP:
         self.merges += len(settled)
         return out
 
-    def _edge(self, table, bag, eid):
+    def _edge(self, table, eid, live):
         u, v = self.g.edges[eid]
-        su, sv = 2 * bag.index(u), 2 * bag.index(v)
+        su, sv = 2 * self.slot[u], 2 * self.slot[v]
         step = (1 << su) + (1 << sv)
         cu, cv = self.required.get(u, 2), self.required.get(v, 2)
         ends_u, ends_v = self._ends(u), self._ends(v)
@@ -301,7 +309,7 @@ class _PathDP:
             path = (ends_u[du], ends_v[dv])
             m = settled.get((pairs, path), False)
             if m is False:
-                m = settled[pairs, path] = self._settle(_merge(pairs, (path,)), bag)
+                m = settled[pairs, path] = self._settle(_merge(pairs, (path,)), live)
             if m is None:
                 continue
             npairs, closes = m
@@ -338,8 +346,8 @@ def solve_t_cycle(graph, terminals=None, td=None):
         raise InvalidConfiguration("terminal set is empty")
     if not T <= graph.vertices:
         raise InvalidConfiguration("terminal is not a vertex")
-    td, assign = _prepare(graph, td)
-    wit = _PathDP("t-cycle", graph, td, assign, dict.fromkeys(T, 2), frozenset(), True).run()
+    td = _prepare(graph, td)
+    wit = _PathDP("t-cycle", graph, td, dict.fromkeys(T, 2), frozenset(), True).run()
     if wit is None:
         return None
     loop = sorted(wit)
@@ -353,9 +361,9 @@ def solve_disjoint_paths(graph, matching, td=None):
     pairs = check_matching(graph, matching)
     if not pairs:
         return True
-    td, assign = _prepare(graph, td)
+    td = _prepare(graph, td)
     required = dict.fromkeys((v for p in pairs for v in p), 1)
-    dp = _PathDP("linkage", graph, td, assign, required, frozenset(pairs), False)
+    dp = _PathDP("linkage", graph, td, required, frozenset(pairs), False)
     return dp.run() is not None
 
 
@@ -366,8 +374,7 @@ def boundary_linkages(graph, boundary, td=None):
     the paths disjoint but for shared ends.  A path from b back to b is
     (b, b), and two paths between a and b give (a, b) twice."""
     B = frozenset(boundary)
-    td, assign = _prepare(graph, td)
-    dp = _PathDP("profile", graph, td, assign, {}, frozenset(), False, B)
+    dp = _PathDP("profile", graph, _prepare(graph, td), {}, frozenset(), False, B)
     return {
         tuple(sorted(tuple(sorted(b for b, _ in p)) for p in pairs))
         for _, pairs, _ in dp.root_table()

@@ -180,13 +180,6 @@ class NiceTreeDecomposition(TreeDecomposition):
                     stack.append((c, False))
         return out
 
-    def distinguished(self, node):
-        """The vertex introduced or forgotten at node."""
-        (child,) = self.children[node]
-        diff = self.bags[node] ^ self.bags[child]
-        (v,) = diff
-        return v
-
     def check_shape(self):
         """Check the nice-form rules node by node; raise InvalidDecomposition
         at the first node that breaks one."""
@@ -307,6 +300,8 @@ def from_pace_lines(lines):
                     raise ParseError(f"line {lineno}: bad header {raw!r}")
                 header = tuple(int(x) for x in parts[2:])
             elif parts[0] == "b":
+                if len(parts) < 2:
+                    raise ParseError(f"line {lineno}: bag without a node")
                 node = int(parts[1])
                 if node in bags:
                     raise ParseError(f"line {lineno}: duplicate bag {node}")

@@ -53,6 +53,38 @@ def test_bare_rotation_line_is_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bare_bag_line_in_td_file_is_exit_2(tmp_path, capsys):
+    inst = write_instance(tmp_path / "g.txt", generate.ring(3, terminals={1, 2}))
+    td_file = tmp_path / "td.txt"
+    td_file.write_text("s td 1 3 3\nb\n")
+    assert main(["solve", inst, "--td", str(td_file)]) == 2
+    assert "bag without a node" in capsys.readouterr().err
+    with pytest.raises(ParseError):
+        from_pace_lines(["s td 1 3 3", "b"])
+
+
+NOT_UTF8 = b"v 1\n# \xff\xfe\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "{bad}"], ["reduce", "{bad}", "{out}"], ["kernelize", "{bad}", "{out}"],
+     ["td", "{bad}"], ["check-config", "{bad}"], ["solve", "{good}", "--td", "{bad}"]],
+    ids=["solve", "reduce", "kernelize", "td", "check-config", "td-file"],
+)
+def test_input_that_is_not_utf8_is_exit_2(tmp_path, capsys, args):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    names = {
+        "bad": str(bad),
+        "good": write_instance(tmp_path / "g.txt", generate.ring(3, terminals={1, 2})),
+        "out": str(tmp_path / "out.txt"),
+    }
+    assert main([a.format(**names) for a in args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_undeclared_outer_vertex_is_exit_2(tmp_path, capsys):
     path = tmp_path / "outer.txt"
     path.write_text("v 1\nv 2\ne 1 1 2\nrot 1 1\nrot 2 1\nouter 99\n")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from tcycle import dp, generate
 from tcycle.dp import (
-    _prepare,
     boundary_linkages,
     solve_disjoint_paths,
     solve_m_cycle,
@@ -17,13 +16,13 @@ from tcycle.dp import (
     subdivided_instance,
 )
 from tcycle.errors import InvalidConfiguration, InvalidDecomposition, TCycleError
-from tcycle.graph import EmbeddedGraph
+from tcycle.graph import EmbeddedGraph, unembedded
 from tcycle.oracle import (
     brute_disjoint_paths,
     brute_t_cycle,
     is_t_loop,
 )
-from tcycle.treewidth import NiceTreeDecomposition, build, make_nice
+from tcycle.treewidth import NiceTreeDecomposition, TreeDecomposition, build, make_nice
 
 
 def test_triangle_yes():
@@ -195,13 +194,10 @@ def test_loop_implies_m_cycle_on_pair():
 def naive_assign(graph, td):
     """Reference edge assignment: scan every bag for each edge and take the
     holder closest to the root."""
+    parent, _, order = td.rooted()
     depth = {td.root: 0}
-    stack = [td.root]
-    while stack:
-        x = stack.pop()
-        for c in td.children[x]:
-            depth[c] = depth[x] + 1
-            stack.append(c)
+    for x in order[1:]:
+        depth[x] = depth[parent[x]] + 1
     assign = {n: [] for n in td.bags}
     for eid in sorted(graph.edges):
         u, v = graph.edges[eid]
@@ -225,11 +221,107 @@ def assignment_graphs():
         yield generate.nested_rings(rings, ring_size=size, spoke_every=spoke)
 
 
+def one_bag(graph):
+    """The decomposition of one bag that holds every vertex."""
+    return TreeDecomposition({0: graph.vertices}, [])
+
+
 def test_prepare_assignment_matches_naive_reference(min_degree_td):
     for g in assignment_graphs():
-        for td in (None, min_degree_td(g), make_nice(build(g))):
-            nice, assign = _prepare(g, td)
-            assert assign == naive_assign(g, nice)
+        for td in (None, min_degree_td(g), make_nice(build(g)), one_bag(g)):
+            engine = dp._PathDP("t-cycle", g, dp._prepare(g, td), {}, frozenset(), True)
+            got = {
+                x: sorted(e for v in vs for e in engine.charged[v])
+                for x, vs in engine.forget.items()
+            }
+            assert got == naive_assign(g, engine.td)
+            # an edge is charged to whichever of its ends is forgotten first
+            order = [v for x in engine.postorder for v in engine.forget[x]]
+            when = {v: i for i, v in enumerate(order)}
+            for v, eids in engine.charged.items():
+                for eid in eids:
+                    (w,) = set(g.edges[eid]) - {v}
+                    assert when[v] < when[w]
+            if not isinstance(td, NiceTreeDecomposition):
+                nice, assign = nice_prepare(g, td)
+                assert assign == naive_assign(g, nice)
+
+
+def test_slots_are_distinct_within_every_bag(min_degree_td):
+    for g in assignment_graphs():
+        for td in (build(g), min_degree_td(g), make_nice(build(g)), one_bag(g)):
+            engine = dp._PathDP("t-cycle", g, td, {}, frozenset(), True)
+            size = max(map(len, td.bags.values()))
+            for bag in td.bags.values():
+                slots = [engine.slot[v] for v in bag]
+                assert len(set(slots)) == len(slots)
+                assert all(0 <= s < size for s in slots)
+
+
+def brute_boundary_linkages(graph, boundary):
+    """Reference for `boundary_linkages`: list every boundary-to-boundary
+    segment as a simple path, then every set of segments whose interiors
+    are disjoint and that end at most twice at each boundary vertex."""
+    B = frozenset(boundary)
+    incident = {v: [] for v in graph.vertices}
+    for eid, (u, v) in graph.edges.items():
+        if u != v:
+            incident[u].append((eid, v))
+            incident[v].append((eid, u))
+    segments = {}  # edge set -> (ends, interior); each is met from both ends
+
+    def walk(start, at, edges, inside):
+        for eid, w in incident[at]:
+            if eid in edges:
+                continue
+            if w in B:
+                segments[edges | {eid}] = (tuple(sorted((start, w))), inside)
+            elif w not in inside:
+                walk(start, w, edges | {eid}, inside | {w})
+
+    for b in B:
+        walk(b, b, frozenset(), frozenset())
+    segs = list(segments.values())
+    found = set()
+
+    def extend(i, chosen, used, ends):
+        found.add(tuple(sorted(chosen)))
+        for j in range(i, len(segs)):
+            pair, inside = segs[j]
+            more = ends + Counter(pair)
+            if inside.isdisjoint(used) and all(more[b] <= 2 for b in pair):
+                extend(j + 1, chosen + [pair], used | inside, more)
+
+    extend(0, [], frozenset(), Counter())
+    return found
+
+
+def test_three_decompositions_match_brute_force(min_degree_td):
+    # criterion 1's sizes: 6 to 12 vertices
+    checked = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        g = generate.random_planar(rng.randrange(6, 13), seed=seed + 7100)
+        if seed % 2:  # two vertices fewer leave cut vertices, and no-instances
+            g = g.subgraph(g.vertices - set(rng.sample(sorted(g.vertices), 2)))
+        vs = sorted(g.vertices)
+        T = set(rng.sample(vs, min(len(vs), rng.randrange(1, 6))))
+        ends = rng.sample(vs, 4)
+        M = [tuple(ends[:2]), tuple(ends[2:])][: rng.randrange(1, 3)]
+        B = rng.sample(vs, rng.randrange(1, 4))
+        want_t = brute_t_cycle(g, T) is not None
+        want_l = brute_disjoint_paths(g, M) is not None
+        want_b = brute_boundary_linkages(g, B)
+        for td in (one_bag(g), min_degree_td(g), make_nice(build(g))):
+            loop = solve_t_cycle(g, T, td)
+            assert (loop is not None) == want_t, (seed, T)
+            assert solve_disjoint_paths(g, M, td) == want_l, (seed, M)
+            assert boundary_linkages(g, B, td) == want_b, (seed, B)
+        checked["t-cycle", want_t] += 1
+        checked["linkage", want_l] += 1
+        checked["profile", len(want_b) > 2] += 1
+    # both verdicts of each problem, and profiles with several segment sets
+    assert min(checked.values()) >= 5 and len(checked) == 6, checked
 
 
 def test_long_ladder_solves():
@@ -246,6 +338,172 @@ def test_bad_witness_raises(monkeypatch):
     g = generate.grid(3, 4, terminals={1, 12})
     with pytest.raises(TCycleError):
         solve_t_cycle(g)
+
+
+# -- the engine as it ran on nice decompositions, kept as the oracle ----------
+
+
+def distinguished(td, node):
+    """The vertex introduced or forgotten at a nice node."""
+    (child,) = td.children[node]
+    (v,) = td.bags[node] ^ td.bags[child]
+    return v
+
+
+def nice_prepare(graph, td):
+    """The nice form of td, or of a decomposition built here, and the
+    edge-to-node assignment: each edge goes to the deeper of its endpoints'
+    topmost nodes."""
+    td = make_nice(build(graph) if td is None else td)
+    depth = {td.root: 0}
+    top = {}
+    stack = [td.root]
+    while stack:
+        x = stack.pop()
+        for v in td.bags[x]:
+            top.setdefault(v, x)  # parents come first, so this is v's top
+        for c in td.children[x]:
+            depth[c] = depth[x] + 1
+            stack.append(c)
+    assign = {n: [] for n in td.bags}
+    for eid in sorted(graph.edges):
+        u, v = graph.edges[eid]
+        if u != v:
+            assign[max(top[u], top[v], key=depth.__getitem__)].append(eid)
+    return td, assign
+
+
+class NiceDP(dp._PathDP):
+    """The path DP one introduce, forget or join at a time, on a nice
+    decomposition: degree codes indexed by position in the sorted bag, so
+    introduce and forget shift them.  Its states are the engine's, and it
+    settles merges and names ends as the engine does."""
+
+    def __init__(self, name, graph, td, assign, required, matching, closes, boundary=frozenset()):
+        self.name = name
+        self.g = graph
+        self.td = td
+        self.assign = assign
+        self.required = required
+        self.matching = matching
+        self.closes = closes
+        self.boundary = boundary
+        self.merges = 0
+
+    def root_table(self):
+        tables = {}
+        for node in self.td.postorder():
+            kind = self.td.kind[node]
+            bag = tuple(sorted(self.td.bags[node]))
+            if kind == "leaf":
+                table = {(0, frozenset(), False): None}
+            elif kind == "introduce":
+                table = self._introduce(tables, node, bag)
+            elif kind == "forget":
+                table = self._forget(tables, node, bag)
+            else:
+                table = self._join(tables, node, bag)
+            for c in self.td.children[node]:
+                del tables[c]
+            for eid in self.assign[node]:
+                table = self._edge(table, bag, eid)
+            tables[node] = table
+        return tables[self.td.root]
+
+    def _introduce(self, tables, node, bag):
+        (child,) = self.td.children[node]
+        shift = 2 * bag.index(distinguished(self.td, node))
+        low = (1 << shift) - 1
+        return {
+            ((degs >> shift << shift + 2) | (degs & low), pairs, closed): wit
+            for (degs, pairs, closed), wit in tables[child].items()
+        }
+
+    def _forget(self, tables, node, bag):
+        (child,) = self.td.children[node]
+        v = distinguished(self.td, node)
+        shift = 2 * sorted(self.td.bags[child]).index(v)
+        low = (1 << shift) - 1
+        need = self.required.get(v)
+        checked = v not in self.boundary
+        out = {}
+        for (degs, pairs, closed), wit in tables[child].items():
+            d = degs >> shift & 3
+            if checked:
+                if (d != need) if need else (d == 1):
+                    continue
+                if d == 1:
+                    p = next(p for p in pairs if v in p)
+                    if p.isdisjoint(bag):
+                        if p not in self.matching:
+                            continue
+                        pairs = pairs - {p}
+            out.setdefault(((degs >> shift + 2 << shift) | (degs & low), pairs, closed), wit)
+        return out
+
+    def _join(self, tables, node, bag):
+        a, b = self.td.children[node]
+        low = (1 << 2 * len(bag)) // 3
+        one = sum(1 << 2 * i for i, v in enumerate(bag) if self.required.get(v) == 1)
+        boundary = sum(1 << 2 * i for i, v in enumerate(bag) if v in self.boundary)
+        groups_b = dp._degree_groups(tables[b], low, one)
+        out = {}
+        settled = {}
+        for da, nz_a, full_a, states_a in dp._degree_groups(tables[a], low, one):
+            for db, nz_b, full_b, states_b in groups_b:
+                if full_a & nz_b or full_b & nz_a:
+                    continue
+                degs = da + db
+                meet = nz_a & nz_b
+                if not meet:
+                    for pa, ca, wa in states_a:
+                        for pb, cb, wb in states_b:
+                            pairs = pa | pb
+                            if (ca or cb) and (pairs or ca and cb):
+                                continue
+                            out.setdefault((degs, pairs, ca or cb), (wa, wb))
+                    continue
+                both = meet & boundary
+                if both:
+                    shifted = {(v, 0) for i, v in enumerate(bag) if both >> 2 * i & 1}
+                    states_b = [(dp._renumbered(pb, shifted), cb, wb) for pb, cb, wb in states_b]
+                for pa, _, wa in states_a:
+                    for pb, _, wb in states_b:
+                        m = settled.get((pa, pb), False)
+                        if m is False:
+                            m = settled[pa, pb] = self._settle(dp._merge(pa, pb), bag)
+                        if m is None:
+                            continue
+                        pairs, closes = m
+                        if closes and pairs:
+                            continue
+                        out.setdefault((degs, pairs, closes), (wa, wb))
+        self.merges += len(settled)
+        return out
+
+    def _edge(self, table, bag, eid):
+        u, v = self.g.edges[eid]
+        su, sv = 2 * bag.index(u), 2 * bag.index(v)
+        step = (1 << su) + (1 << sv)
+        cu, cv = self.required.get(u, 2), self.required.get(v, 2)
+        ends_u, ends_v = self._ends(u), self._ends(v)
+        out = dict(table)
+        settled = {}
+        for (degs, pairs, closed), wit in table.items():
+            du, dv = degs >> su & 3, degs >> sv & 3
+            if closed or du >= cu or dv >= cv:
+                continue
+            path = (ends_u[du], ends_v[dv])
+            m = settled.get((pairs, path), False)
+            if m is False:
+                m = settled[pairs, path] = self._settle(dp._merge(pairs, (path,)), bag)
+            if m is None:
+                continue
+            npairs, closes = m
+            if closes and npairs:
+                continue
+            out.setdefault((degs + step, npairs, closes), (wit, eid))
+        return out
 
 
 # -- the two DPs before the fold into one engine, kept as the reference ------
@@ -340,7 +598,7 @@ class _TCycleDP:
 
     def _introduce(self, tables, node, bag):
         (child,) = self.td.children[node]
-        v = self.td.distinguished(node)
+        v = distinguished(self.td, node)
         pos = bag.index(v)
         out = {}
         for (degs, pairs, closed), wit in tables[child].items():
@@ -350,7 +608,7 @@ class _TCycleDP:
 
     def _forget(self, tables, node, bag):
         (child,) = self.td.children[node]
-        v = self.td.distinguished(node)
+        v = distinguished(self.td, node)
         cbag = tuple(sorted(self.td.bags[child]))
         pos = cbag.index(v)
         out = {}
@@ -472,7 +730,7 @@ class _LinkageDP:
 
     def _introduce(self, tables, node, bag):
         (child,) = self.td.children[node]
-        v = self.td.distinguished(node)
+        v = distinguished(self.td, node)
         pos = bag.index(v)
         out = set()
         for degs, frags, done in tables[child]:
@@ -481,7 +739,7 @@ class _LinkageDP:
 
     def _forget(self, tables, node, bag):
         (child,) = self.td.children[node]
-        v = self.td.distinguished(node)
+        v = distinguished(self.td, node)
         cbag = tuple(sorted(self.td.bags[child]))
         pos = cbag.index(v)
         out = set()
@@ -618,7 +876,7 @@ def reference_components(pair_edges):
     return paths, cycles
 
 
-class Lockstep(dp._PathDP):
+class Lockstep(NiceDP):
     """The engine, run node by node beside a reference DP: after every
     introduce, forget and join and after every edge step, its key set must
     be the reference's under project."""
@@ -705,7 +963,7 @@ def test_every_node_matches_the_reference():
     steps = {"t-cycle": Counter(), "linkage": Counter()}
     graphs = 0
     for g, T, M in join_instances():
-        td, assign = _prepare(g, None)
+        td, assign = nice_prepare(g, None)
         T = frozenset(T)
         ref = _TCycleDP(g, T, td, assign)
         new = Lockstep(
@@ -735,15 +993,90 @@ def test_every_node_matches_the_reference():
     assert steps["t-cycle"]["_join"] > 500 and steps["t-cycle"]["_edge"] > 500
 
 
-def _one_node_dp(bags, kind, children, root, required=None, boundary=frozenset()):
-    """The engine on a hand-made decomposition, for one step at a time."""
-    td = NiceTreeDecomposition(bags, kind, children, root)
-    return dp._PathDP("t-cycle", None, td, {}, required or {}, frozenset(), True, boundary)
+class Recorded(dp._PathDP):
+    """The engine, keeping each node's finished table."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = {}
+
+    def _node(self, tables, node):
+        table = self.seen[node] = super()._node(tables, node)
+        return table
+
+
+class RecordedNice(NiceDP):
+    """The oracle, keeping each forget node's table before its edge steps."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = {}
+
+    def _forget(self, tables, node, bag):
+        table = self.seen[node] = super()._forget(tables, node, bag)
+        return table
+
+
+def test_tables_match_the_nice_oracle_where_the_engines_meet(min_degree_td):
+    """A node of a decomposition ends where the forget run that make_nice
+    puts above it ends: both tables hold the same vertices and the same
+    graph below.  Their key sets agree once the engine's slot codes are
+    mapped to positions in the sorted bag."""
+    met = Counter()
+    for i, (g, T, M) in enumerate(join_instances()):
+        if i % 3:
+            continue
+        pairs = dp.check_matching(g, M)
+        linked = frozenset(v for p in pairs for v in p)
+        runs = (
+            ("t-cycle", dict.fromkeys(T, 2), frozenset(), True, frozenset()),
+            ("linkage", dict.fromkeys(linked, 1), frozenset(pairs), False, frozenset()),
+            ("profile", {}, frozenset(), False, frozenset(T[:2])),
+        )
+        for td in (build(g), min_degree_td(g)):
+            nice, assign = nice_prepare(g, td)
+            below = {}  # nice node -> the vertices forgotten in its subtree
+            for n in nice.postorder():
+                below[n] = frozenset().union(*(below[c] for c in nice.children[n]))
+                if nice.kind[n] == "forget":
+                    below[n] |= {distinguished(nice, n)}
+            ends = {(nice.bags[n], below[n]): n for n, k in nice.kind.items() if k == "forget"}
+            for name, required, matching, closes, boundary in runs:
+                new = Recorded(name, g, td, required, matching, closes, boundary)
+                old = RecordedNice(name, g, nice, assign, required, matching, closes, boundary)
+                new.root_table()
+                old.root_table()
+                for x in new.postorder:
+                    if not new.forget[x]:
+                        continue
+                    gone = frozenset(v for y in subtree(new, x) for v in new.forget[y])
+                    bag = tuple(sorted(td.bags[x] - set(new.forget[x])))
+                    n = ends[frozenset(bag), gone]
+                    got = {(position_code(new, bag, d), p, c) for d, p, c in new.seen[x]}
+                    assert got == set(old.seen[n]), (name, i, x)
+                    met[name] += 1
+    assert min(met.values()) > 900 and len(met) == 3, met
+
+
+def position_code(engine, bag, degs):
+    """The slot code degs, which has bits only at bag's slots, as a code
+    indexed by position in the sorted tuple bag."""
+    by_slot = [degs >> 2 * engine.slot[v] & 3 for v in bag]
+    assert degs == sum(d << 2 * engine.slot[v] for v, d in zip(bag, by_slot))
+    return code(by_slot)
+
+
+def subtree(engine, x):
+    """x and every node below it in the engine's rooted decomposition."""
+    out = [x]
+    for y in out:
+        out.extend(engine.children[y])
+    return out
 
 
 def _lone_state(degs):
-    """A one-state table: degrees degs, no open path, not closed."""
-    return {(code(degs), frozenset(), False): None}
+    """A one-state table: degree code degs, no open path, not closed."""
+    return {(degs, frozenset(), False): None}
 
 
 @st.composite
@@ -761,30 +1094,30 @@ def test_degree_code_matches_degree_tuples(case):
     caps, a, b, pos = case
     bag = tuple(range(1, len(caps) + 1))
     required = {v: 1 for v, c in zip(bag, caps) if c == 1}
-    # the join's masks admit a pair iff each position's sum is within its cap
-    join = _one_node_dp(
-        {0: bag, 1: bag, 2: bag}, {0: "leaf", 1: "leaf", 2: "join"},
-        {0: [], 1: [], 2: [0, 1]}, 2, required,
+    v = bag[pos]
+    # the root holds bag[pos:], so the slots run from v round to bag[pos - 1]
+    td = TreeDecomposition({0: bag[pos:], 1: bag}, [(0, 1)], root=0)
+    engine = dp._PathDP(
+        "t-cycle", unembedded(bag, {}), td, required, frozenset(), True,
+        frozenset({v}),  # forgotten at any degree
     )
-    out = join._join({0: _lone_state(a), 1: _lone_state(b)}, 2, bag)
+    assert [engine.slot[u] for u in bag] == [(i - pos) % len(bag) for i in range(len(bag))]
+
+    def slot_code(degs):
+        return sum(d << 2 * engine.slot[u] for u, d in zip(bag, degs))
+
+    # the join's masks admit a pair iff each vertex's sum is within its cap
+    out = engine._join(_lone_state(slot_code(a)), _lone_state(slot_code(b)), 1)
     summed = tuple(map(add, a, b))
     fits = all(s <= c for s, c in zip(summed, caps))
-    assert set(out) == ({(code(summed), frozenset(), False)} if fits else set())
+    assert set(out) == ({(slot_code(summed), frozenset(), False)} if fits else set())
     # and the summed code is the code of the summed degrees, carry-free
-    assert code(a) + code(b) == code(summed)
+    assert slot_code(a) + slot_code(b) == slot_code(summed)
     if fits:
-        assert [code(a) + code(b) >> 2 * i & 3 for i in range(len(bag))] == list(summed)
-    # introduce inserts a 0 at the new vertex's position, forget deletes it
-    v = bag[pos]
-    rest = bag[:pos] + bag[pos + 1 :]
-    steps = _one_node_dp(
-        {0: rest, 1: bag, 2: rest}, {0: "leaf", 1: "introduce", 2: "forget"},
-        {0: [], 1: [0], 2: [1]}, 2, boundary=frozenset({v}),  # forgotten at any degree
-    )
-    got = steps._introduce({0: _lone_state(a[:pos] + a[pos + 1 :])}, 1, bag)
-    assert set(got) == {(code(a[:pos] + (0,) + a[pos + 1 :]), frozenset(), False)}
-    got = steps._forget({1: _lone_state(a)}, 2, rest)
-    assert set(got) == {(code(a[:pos] + a[pos + 1 :]), frozenset(), False)}
+        assert [slot_code(a) + slot_code(b) >> 2 * engine.slot[u] & 3 for u in bag] == list(summed)
+    # forget clears v's two bits and nothing else
+    got = engine._forget(_lone_state(slot_code(a)), v, set(bag) - {v})
+    assert set(got) == {(slot_code(a[:pos] + (0,) + a[pos + 1 :]), frozenset(), False)}
 
 
 def _pairing(vertices):
@@ -805,8 +1138,9 @@ def test_merge_matches_reference_components(pa, pb):
 
 def test_each_dp_logs_one_debug_line(caplog):
     g = generate.random_planar(16, seed=3)
-    td, _ = _prepare(g, None)
-    joins = sum(td.kind[n] == "join" for n in td.bags)
+    td = build(g)
+    _, children, _ = td.rooted()
+    joins = sum(len(c) - 1 for c in children.values() if c)
     assert joins > 0
     caplog.set_level(logging.DEBUG, logger="tcycle.dp")
     vs = sorted(g.vertices)

@@ -123,7 +123,10 @@ def test_make_nice_grid():
     assert {"leaf", "introduce", "forget"} <= kinds
     # every vertex is introduced at least once and forgotten exactly once
     forgotten = [
-        nice.distinguished(n) for n, k in nice.kind.items() if k == "forget"
+        v
+        for n, k in nice.kind.items()
+        if k == "forget"
+        for v in nice.bags[nice.children[n][0]] - nice.bags[n]
     ]
     assert sorted(forgotten) == sorted(g.vertices)
 
