@@ -284,6 +284,10 @@ def main(argv=None):
         # UnicodeDecodeError: an input file that is not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the DP's tables outgrew memory, as on a decomposition with a wide bag
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

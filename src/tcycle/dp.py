@@ -3,17 +3,17 @@
 Solves T-Cycle (with witness), vertex-disjoint linkages for a matching,
 and the subdivided M-cycle variant with one engine, `_PathDP`, which also
 lists every way a graph can link a boundary set in one pass.  A state at
-a node is (degree code of the bag vertices, pairing of the open path ends,
-closed flag): vertex-disjoint paths, or one cycle once closed, in the
-graph below the node.  What a problem adds is data:
+a node is a degree code of the bag vertices and a pairing of the open
+path ends: vertex-disjoint paths in the graph below the node.  What a
+problem adds is data:
 
 - a required degree per vertex, 2 for a terminal and 1 for a matched
   vertex.  A vertex with one is forgotten only at that degree, any other
   vertex at degree 0 or 2; a vertex's degree is capped at its required
   degree, or at 2 when it has none;
 - the matching, empty for T-Cycle;
-- the closed flag of the answer at the root: True for T-Cycle, False for
-  linkage, where no cycle may close at all;
+- whether the answer is one cycle (T-Cycle) or paths alone (linkage and
+  profiles, where no cycle may close);
 - a boundary set, empty except for `boundary_linkages`.
 
 Path ends are plain vertex ids.  A matched vertex forgotten at degree 1
@@ -38,6 +38,27 @@ with none inside, disjoint but for shared ends.  Tokens are numbered,
 not named after their edges, so that paths reaching b along different
 edges give one state, not one per edge.
 
+No table holds a closed cycle.  A closed state takes no more edges and
+joins only with the empty state of each child still to merge, so a
+T-Cycle run decides a cycle where it closes (in an edge step, or a join
+that splices paths) and stops at the first answer.  A cycle closing at
+node x is the answer iff
+
+- no open path is beside it;
+- every terminal is in x's bag or under a child merged so far.  A child
+  still to merge with a terminal under it has no empty state, as a
+  terminal is forgotten only at degree 2, and a terminal elsewhere is in
+  no bag under x, so it is forgotten at degree 0;
+- every live terminal of the bag has degree 2.  A forgotten one was
+  checked at degree 2 on the state's lineage, and a non-terminal has
+  degree 0 or 2 on a lone cycle.
+
+Any other closed cycle is dropped.  For the second rule a run counts
+once the terminals whose top node lies in each subtree, and sums them
+over the children as they merge.  Which answer comes first follows the
+order of the tables: the input's ids and the decomposition, not the
+hash seed.
+
 The engine runs on the rooted decomposition itself, not a nice form.  A
 vertex's top node is the one nearest the root whose bag holds it.  The
 node step, children before parents: join the children's tables from the
@@ -50,7 +71,7 @@ one-bag decomposition would hold every partial path of the graph at once.
 
 Witnesses are backpointers, not edge sets: None at a leaf, (prev, eid)
 where an edge step took eid, and (wa, wb) at a join.  States share their
-history this way, and the edge set of the answer is rebuilt at the root.
+history this way, and the edge set of the answer is rebuilt at the end.
 
 A degree vector is one int, the degree code, with 2 bits per slot.
 Walking the nodes top-down, each vertex takes at its top node the least
@@ -68,14 +89,15 @@ meet, no path end is on both sides (sealed ends and a forgotten boundary
 vertex's tokens lie below one child), and neither side holds a complete
 path, so the pairings combine as their union.  Elsewhere `_merge`
 splices the open paths, a walk over a mate map of path ends, and the
-merge is settled: complete paths are checked and dropped, and cycles
-counted against what may close.  An edge step is a join with the
+merge is settled: complete paths are checked and dropped, and a closed
+cycle goes to the stop rule above.  An edge step is a join with the
 one-path pairing {u, v}; each such step caches its settled merges.
 
 At the end of a run the engine logs one DEBUG line to the "tcycle.dp"
-logger, named after the problem: the rooted decomposition's nodes and
-joins (a node with c children makes c - 1), the peak table size and the
-number of distinct pairs of pairings that joins spliced.
+logger, named after the problem: the nodes that ran (every node, unless
+a T-Cycle run stopped) and their joins (a node with c children makes
+c - 1), the peak table size and the number of distinct pairs of pairings
+that joins spliced.
 """
 
 import logging
@@ -132,18 +154,36 @@ def _renumbered(pairs, tokens):
 
 
 def _degree_groups(table, low, one):
-    """(code, nonzero mask, at-capacity mask, [(pairs, closed, witness)])
-    per degree code in table; low marks every slot, one those of cap 1."""
+    """(code, nonzero mask, at-capacity mask, [(pairs, witness)]) per
+    degree code in table; low marks every slot, one those of cap 1."""
     states = {}
-    for (degs, pairs, closed), wit in table.items():
-        states.setdefault(degs, []).append((pairs, closed, wit))
+    for (degs, pairs), wit in table.items():
+        states.setdefault(degs, []).append((pairs, wit))
     return [(d, (d | d >> 1) & low, d >> 1 & low | d & one, g) for d, g in states.items()]
+
+
+def _edges(wit):
+    """The edge ids that a witness records."""
+    edges = []
+    stack = [wit]
+    while stack:
+        wit = stack.pop()
+        if isinstance(wit, int):  # the eid of an edge step's (prev, eid)
+            edges.append(wit)
+        elif wit is not None:
+            stack.extend(wit)
+    return edges
+
+
+class _Found(Exception):
+    """The witness of the first cycle that closed through every terminal."""
 
 
 class _PathDP:
     """The path DP of the module docstring on the rooted decomposition td:
-    required maps vertices to required degrees, closes is the root answer's
-    closed flag, and boundary holds the vertices whose path ends are tokens."""
+    required maps vertices to required degrees, closes is whether the
+    answer is a cycle through every vertex of required degree 2 (T-Cycle),
+    and boundary holds the vertices whose path ends are tokens."""
 
     def __init__(self, name, graph, td, required, matching, closes, boundary=frozenset()):
         self.name = name
@@ -184,47 +224,57 @@ class _PathDP:
             self.postorder.append(x)
             stack.extend(self.children[x])
         self.postorder.reverse()
+        # the stop rule's count: terminals whose top node is in each subtree
+        self.terminals = frozenset(required) if closes else frozenset()
+        self.below = below = {}
+        for x in self.postorder if closes else ():
+            mine = len(self.terminals.intersection(self.forget[x]))
+            below[x] = sum(map(below.__getitem__, self.children[x]), mine)
 
     def run(self):
         """The edge ids of one answer, or None."""
-        root = self.root_table()
-        key = (0, frozenset(), self.closes)
-        if key not in root:
+        try:
+            root = self.root_table()
+        except _Found as found:
+            return _edges(*found.args)
+        key = (0, frozenset())
+        if self.closes or key not in root:  # a T-loop stops the run
             return None
-        edges = []
-        stack = [root[key]]
-        while stack:
-            wit = stack.pop()
-            if isinstance(wit, int):  # the eid of an edge step's (prev, eid)
-                edges.append(wit)
-            elif wit is not None:
-                stack.extend(wit)
-        return edges
+        return _edges(root[key])
 
     def root_table(self):
-        """The table at the root: state -> witness."""
+        """The table at the root: state -> witness.  A T-Cycle run raises
+        _Found instead where its answer closes."""
         tables = {}
-        self.peak = 0
-        for node in self.postorder:
-            tables[node] = self._node(tables, node)
-        _log.debug(
-            self.name + ": %d nodes, %d joins, peak table %d, %d distinct merges",
-            len(self.td.bags), sum(max(len(c) - 1, 0) for c in self.children.values()),
-            self.peak, self.merges,
-        )
+        self.peak = ran = 0
+        try:
+            for ran, node in enumerate(self.postorder, 1):
+                tables[node] = self._node(tables, node)
+        finally:
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug(
+                    self.name + ": %d nodes, %d joins, peak table %d, %d distinct merges",
+                    ran, sum(max(len(self.children[x]) - 1, 0) for x in self.postorder[:ran]),
+                    self.peak, self.merges,
+                )
         return tables[self.td.root]
 
     def _node(self, tables, node):
         """The node step of the module docstring: node's table."""
         kids = self.children[node]
-        table = tables.pop(kids[-1]) if kids else {(0, frozenset(), False): None}
+        below = self.below
+        table = tables.pop(kids[-1]) if kids else {(0, frozenset()): None}
+        # terminals whose top node is under a child merged so far
+        self.reached = below.get(kids[-1], 0) if kids else 0
         for c in reversed(kids[:-1]):
+            self.reached += below.get(c, 0)
             table = self._join(tables.pop(c), table, node)
         self.peak = max(self.peak, len(table))
-        live = set(self.td.bags[node])
+        bag = self.td.bags[node]
+        live = set(bag)
         for v in self.forget[node]:
             for eid in self.charged[v]:
-                table = self._edge(table, eid, live)
+                table = self._edge(table, eid, bag, live)
             self.peak = max(self.peak, len(table))
             live.discard(v)
             table = self._forget(table, v, live)
@@ -237,7 +287,7 @@ class _PathDP:
         need = self.required.get(v)
         checked = v not in self.boundary  # a boundary vertex's ends are tokens
         out = {}
-        for (degs, pairs, closed), wit in table.items():
+        for (degs, pairs), wit in table.items():
             d = degs >> shift & 3
             if checked:
                 if (d != need) if need else (d == 1):
@@ -248,7 +298,7 @@ class _PathDP:
                         if p not in self.matching:
                             continue
                         pairs = pairs - {p}
-            out.setdefault((degs & clear, pairs, closed), wit)
+            out.setdefault((degs & clear, pairs), wit)
         return out
 
     def _join(self, table_a, table_b, node):
@@ -266,35 +316,31 @@ class _PathDP:
                 degs = da + db
                 meet = nz_a & nz_b
                 if not meet:  # disjoint ends: the pairings combine as they are
-                    for pa, ca, wa in states_a:
-                        for pb, cb, wb in states_b:
-                            pairs = pa | pb
-                            # one closed cycle at most, and nothing beside it
-                            if (ca or cb) and (pairs or ca and cb):
-                                continue
-                            out.setdefault((degs, pairs, ca or cb), (wa, wb))
+                    for pa, wa in states_a:
+                        for pb, wb in states_b:
+                            out.setdefault((degs, pa | pb), (wa, wb))
                     continue
-                # a closed side is at capacity wherever it is nonzero, so it
-                # meets nothing: the paths here are open
                 both = meet & boundary  # boundary vertices with a path end on each side
                 if both:  # each takes the token (v, 1) on the second side
                     shifted = {(v, 0) for v in bag if both >> 2 * slot[v] & 1}
-                    states_b = [(_renumbered(pb, shifted), cb, wb) for pb, cb, wb in states_b]
-                for pa, _, wa in states_a:
-                    for pb, _, wb in states_b:
+                    states_b = [(_renumbered(pb, shifted), wb) for pb, wb in states_b]
+                for pa, wa in states_a:
+                    for pb, wb in states_b:
                         m = settled.get((pa, pb), False)
                         if m is False:
                             m = settled[pa, pb] = self._settle(_merge(pa, pb), bag)
                         if m is None:
                             continue
                         pairs, closes = m
-                        if closes and pairs:
+                        if closes:
+                            if not pairs and self._stops(degs, bag, bag):
+                                raise _Found((wa, wb))
                             continue
-                        out.setdefault((degs, pairs, closes), (wa, wb))
+                        out.setdefault((degs, pairs), (wa, wb))
         self.merges += len(settled)
         return out
 
-    def _edge(self, table, eid, live):
+    def _edge(self, table, eid, bag, live):
         u, v = self.g.edges[eid]
         su, sv = 2 * self.slot[u], 2 * self.slot[v]
         step = (1 << su) + (1 << sv)
@@ -302,9 +348,9 @@ class _PathDP:
         ends_u, ends_v = self._ends(u), self._ends(v)
         out = dict(table)
         settled = {}
-        for (degs, pairs, closed), wit in table.items():
+        for (degs, pairs), wit in table.items():
             du, dv = degs >> su & 3, degs >> sv & 3
-            if closed or du >= cu or dv >= cv:
+            if du >= cu or dv >= cv:
                 continue
             path = (ends_u[du], ends_v[dv])
             m = settled.get((pairs, path), False)
@@ -313,10 +359,24 @@ class _PathDP:
             if m is None:
                 continue
             npairs, closes = m
-            if closes and npairs:
+            if closes:
+                if not npairs and self._stops(degs + step, bag, live):
+                    raise _Found((wit, eid))
                 continue
-            out.setdefault((degs + step, npairs, closes), (wit, eid))
+            out.setdefault((degs + step, npairs), (wit, eid))
         return out
+
+    def _stops(self, degs, bag, live):
+        """The stop rule: whether a cycle that closed alone, to the degree
+        code degs at a node with this bag, is a T-loop; live holds the bag
+        vertices not yet forgotten."""
+        seen = self.reached
+        for v in bag:
+            if v in self.terminals:
+                if v in live and degs >> 2 * self.slot[v] & 3 != 2:
+                    return False
+                seen += 1
+        return seen == len(self.terminals)
 
     def _ends(self, v):
         """The path end an edge step puts at v, indexed by v's degree
@@ -377,7 +437,7 @@ def boundary_linkages(graph, boundary, td=None):
     dp = _PathDP("profile", graph, _prepare(graph, td), {}, frozenset(), False, B)
     return {
         tuple(sorted(tuple(sorted(b for b, _ in p)) for p in pairs))
-        for _, pairs, _ in dp.root_table()
+        for _, pairs in dp.root_table()
     }
 
 

@@ -33,13 +33,17 @@ class TreeDecomposition:
         if root is None:
             root = min(self.bags, key=lambda n: (-len(self.adj[n]), n))
         self.root = root
+        self._rooted = None
 
     @property
     def width(self):
         return max(len(b) for b in self.bags.values()) - 1
 
     def rooted(self):
-        """(parent, children, preorder) from the root; requires a tree."""
+        """(parent, children, breadth-first order) from the root; requires a
+        tree.  Computed once: callers share it and must not change it."""
+        if self._rooted is not None:
+            return self._rooted
         parent = {self.root: None}
         children = {n: [] for n in self.bags}
         order = [self.root]
@@ -54,38 +58,36 @@ class TreeDecomposition:
                     queue.append(y)
         if len(parent) != len(self.bags):
             raise InvalidDecomposition("tree is not connected")
-        return parent, children, order
+        self._rooted = parent, children, order
+        return self._rooted
 
     def validate(self, graph):
-        """Check the decomposition conditions against graph; return width."""
+        """Check the decomposition conditions against graph; return width.
+
+        One pass down the rooted tree.  A vertex's bags are connected iff
+        exactly one of them, its top node, has no parent bag holding it.
+        Two connected sets of bags meet iff the deeper of their top nodes
+        is in both, so an edge is covered iff that top's bag holds both ends.
+        """
         if len(self.links) != len(self.bags) - 1:
             raise InvalidDecomposition("link count is wrong for a tree")
-        self.rooted()
-        everything = frozenset().union(*self.bags.values())
-        if not everything <= graph.vertices:
+        parent, _, order = self.rooted()
+        top = {}  # vertex -> position of its top node in order, which is by depth
+        for i, x in enumerate(order):
+            p = parent[x]
+            for v in self.bags[x] if p is None else self.bags[x] - self.bags[p]:
+                if v in top:
+                    raise VertexSubtreeDisconnected(f"bags of vertex {v} are not connected")
+                top[v] = i
+        if not top.keys() <= graph.vertices:
             raise InvalidDecomposition("bag contains an unknown vertex")
-        occurrences = {v: set() for v in graph.vertices}
-        for n, bag in self.bags.items():
-            for v in bag:
-                occurrences[v].add(n)
+        missing = graph.vertices - top.keys()
+        if missing:
+            raise VertexSubtreeDisconnected(f"vertex {min(missing)} is in no bag")
         for eid, (u, v) in graph.edges.items():
-            if occurrences[u].isdisjoint(occurrences[v]):
+            bag = self.bags[order[max(top[u], top[v])]]
+            if u not in bag or v not in bag:
                 raise EdgeUncovered(f"edge {eid} ({u},{v}) is in no bag")
-        for v, occ in occurrences.items():
-            if not occ:
-                raise VertexSubtreeDisconnected(f"vertex {v} is in no bag")
-            seen = {next(iter(sorted(occ)))}
-            stack = list(seen)
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if y in occ and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if seen != occ:
-                raise VertexSubtreeDisconnected(
-                    f"bags of vertex {v} are not connected"
-                )
         return self.width
 
 
@@ -152,7 +154,7 @@ def build(graph):
         else:
             j = i + 1
         links.append((i, j))
-    td =TreeDecomposition(dict(enumerate(elim_bags)), links)
+    td = TreeDecomposition(dict(enumerate(elim_bags)), links)
     td.validate(graph)
     return td
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tcycle
-from tcycle import fileio, generate
+from tcycle import cli, fileio, generate
 from tcycle.cli import main
 from tcycle.errors import ParseError
 from tcycle.treewidth import build, from_pace_lines, pace_lines
@@ -51,6 +51,16 @@ def test_bare_rotation_line_is_exit_2(tmp_path, capsys):
     path.write_text("v 1\nrot\n")
     assert main(["solve", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_exit_2(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve_t_cycle", exhausted)
+    inst = write_instance(tmp_path / "g.txt", generate.grid(3, 3, terminals={1, 9}))
+    assert main(["solve", inst]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
 
 def test_bare_bag_line_in_td_file_is_exit_2(tmp_path, capsys):

@@ -340,6 +340,40 @@ def test_bad_witness_raises(monkeypatch):
         solve_t_cycle(g)
 
 
+def check_against_brute(edges, T, bags, links):
+    """Solve on the hand-built decomposition rooted at node 0 and compare
+    with brute force; returns the verdict."""
+    g = unembedded({v for e in edges.values() for v in e}, edges)
+    td = TreeDecomposition(bags, links, root=0)
+    loop = solve_t_cycle(g, T, td)
+    assert (loop is None) == (brute_t_cycle(g, T) is None)
+    assert loop is None or is_t_loop(g, T, loop)
+    return loop is not None
+
+
+def test_a_cycle_closing_before_the_last_child_is_merged_stops_only_without_it():
+    # the root {1, 2} merges its children 3, 2, 1 in that order; the joins
+    # of 3 and 2 close the cycle 1-3-2-4 before child 1, which holds the
+    # pendant vertex 5, is merged
+    edges = {1: (1, 3), 2: (3, 2), 3: (1, 4), 4: (4, 2), 5: (1, 5)}
+    bags = {0: {1, 2}, 1: {1, 5}, 2: {1, 2, 4}, 3: {1, 2, 3}}
+    links = [(0, 1), (0, 2), (0, 3)]
+    assert check_against_brute(edges, {3, 4}, bags, links)
+    assert not check_against_brute(edges, {3, 4, 5}, bags, links)
+
+
+def test_a_cycle_missing_a_live_terminal_does_not_stop_the_run():
+    # at the root {1, 2, 3} the edge 1-2 closes 1-4-2-1 while terminal 3
+    # is live at degree 0
+    edges = {1: (1, 2), 2: (1, 3), 3: (1, 4), 4: (4, 2)}
+    bags = {0: {1, 2, 3}, 1: {1, 2, 4}}
+    assert not check_against_brute(edges, {3, 4}, bags, [(0, 1)])
+    # with the edge 2-3 the cycle 1-4-2-3 closes after terminal 1 is
+    # forgotten at degree 2 and while terminal 3 is live at degree 2
+    edges[5] = (2, 3)
+    assert check_against_brute(edges, {1, 3, 4}, bags, [(0, 1)])
+
+
 # -- the engine as it ran on nice decompositions, kept as the oracle ----------
 
 
@@ -376,8 +410,9 @@ def nice_prepare(graph, td):
 class NiceDP(dp._PathDP):
     """The path DP one introduce, forget or join at a time, on a nice
     decomposition: degree codes indexed by position in the sorted bag, so
-    introduce and forget shift them.  Its states are the engine's, and it
-    settles merges and names ends as the engine does."""
+    introduce and forget shift them.  Its states are the engine's with a
+    closed flag: it carries each closed cycle to the root and reads the
+    answer there.  It settles merges and names ends as the engine does."""
 
     def __init__(self, name, graph, td, assign, required, matching, closes, boundary=frozenset()):
         self.name = name
@@ -389,6 +424,21 @@ class NiceDP(dp._PathDP):
         self.closes = closes
         self.boundary = boundary
         self.merges = 0
+
+    def run(self):
+        """The edge ids of one answer, read at the root, or None."""
+        root = self.root_table()
+        key = (0, frozenset(), self.closes)
+        return dp._edges(root[key]) if key in root else None
+
+    @staticmethod
+    def _degree_groups(table, low, one):
+        """(code, nonzero mask, at-capacity mask, [(pairs, closed, witness)])
+        per degree code in table."""
+        states = {}
+        for (degs, pairs, closed), wit in table.items():
+            states.setdefault(degs, []).append((pairs, closed, wit))
+        return [(d, (d | d >> 1) & low, d >> 1 & low | d & one, g) for d, g in states.items()]
 
     def root_table(self):
         tables = {}
@@ -446,10 +496,10 @@ class NiceDP(dp._PathDP):
         low = (1 << 2 * len(bag)) // 3
         one = sum(1 << 2 * i for i, v in enumerate(bag) if self.required.get(v) == 1)
         boundary = sum(1 << 2 * i for i, v in enumerate(bag) if v in self.boundary)
-        groups_b = dp._degree_groups(tables[b], low, one)
+        groups_b = self._degree_groups(tables[b], low, one)
         out = {}
         settled = {}
-        for da, nz_a, full_a, states_a in dp._degree_groups(tables[a], low, one):
+        for da, nz_a, full_a, states_a in self._degree_groups(tables[a], low, one):
             for db, nz_b, full_b, states_b in groups_b:
                 if full_a & nz_b or full_b & nz_a:
                     continue
@@ -1020,11 +1070,12 @@ class RecordedNice(NiceDP):
 def test_tables_match_the_nice_oracle_where_the_engines_meet(min_degree_td):
     """A node of a decomposition ends where the forget run that make_nice
     puts above it ends: both tables hold the same vertices and the same
-    graph below.  Their key sets agree once the engine's slot codes are
-    mapped to positions in the sorted bag."""
+    graph below.  Their key sets agree, but for the oracle's closed
+    states, once the engine's slot codes are mapped to positions in the
+    sorted bag."""
     met = Counter()
     for i, (g, T, M) in enumerate(join_instances()):
-        if i % 3:
+        if i % 2:
             continue
         pairs = dp.check_matching(g, M)
         linked = frozenset(v for p in pairs for v in p)
@@ -1044,16 +1095,17 @@ def test_tables_match_the_nice_oracle_where_the_engines_meet(min_degree_td):
             for name, required, matching, closes, boundary in runs:
                 new = Recorded(name, g, td, required, matching, closes, boundary)
                 old = RecordedNice(name, g, nice, assign, required, matching, closes, boundary)
-                new.root_table()
-                old.root_table()
-                for x in new.postorder:
+                assert (new.run() is None) == (old.run() is None), (name, i)
+                # a T-Cycle run stops where its answer closes: the nodes it
+                # finished hold the oracle's states that are not closed
+                for x in new.seen:
                     if not new.forget[x]:
                         continue
                     gone = frozenset(v for y in subtree(new, x) for v in new.forget[y])
                     bag = tuple(sorted(td.bags[x] - set(new.forget[x])))
                     n = ends[frozenset(bag), gone]
-                    got = {(position_code(new, bag, d), p, c) for d, p, c in new.seen[x]}
-                    assert got == set(old.seen[n]), (name, i, x)
+                    got = {(position_code(new, bag, d), p) for d, p in new.seen[x]}
+                    assert got == {(d, p) for d, p, closed in old.seen[n] if not closed}, (name, i, x)
                     met[name] += 1
     assert min(met.values()) > 900 and len(met) == 3, met
 
@@ -1075,8 +1127,8 @@ def subtree(engine, x):
 
 
 def _lone_state(degs):
-    """A one-state table: degree code degs, no open path, not closed."""
-    return {(degs, frozenset(), False): None}
+    """A one-state table: degree code degs, no open path."""
+    return {(degs, frozenset()): None}
 
 
 @st.composite
@@ -1110,14 +1162,14 @@ def test_degree_code_matches_degree_tuples(case):
     out = engine._join(_lone_state(slot_code(a)), _lone_state(slot_code(b)), 1)
     summed = tuple(map(add, a, b))
     fits = all(s <= c for s, c in zip(summed, caps))
-    assert set(out) == ({(slot_code(summed), frozenset(), False)} if fits else set())
+    assert set(out) == ({(slot_code(summed), frozenset())} if fits else set())
     # and the summed code is the code of the summed degrees, carry-free
     assert slot_code(a) + slot_code(b) == slot_code(summed)
     if fits:
         assert [slot_code(a) + slot_code(b) >> 2 * engine.slot[u] & 3 for u in bag] == list(summed)
     # forget clears v's two bits and nothing else
     got = engine._forget(_lone_state(slot_code(a)), v, set(bag) - {v})
-    assert set(got) == {(slot_code(a[:pos] + (0,) + a[pos + 1 :]), frozenset(), False)}
+    assert set(got) == {(slot_code(a[:pos] + (0,) + a[pos + 1 :]), frozenset())}
 
 
 def _pairing(vertices):
@@ -1136,20 +1188,28 @@ def test_merge_matches_reference_components(pa, pb):
     assert pairs == frozenset(frozenset(p) for p in paths)
 
 
-def test_each_dp_logs_one_debug_line(caplog):
+def test_each_dp_logs_one_debug_line(caplog, monkeypatch):
     g = generate.random_planar(16, seed=3)
     td = build(g)
     _, children, _ = td.rooted()
-    joins = sum(len(c) - 1 for c in children.values() if c)
-    assert joins > 0
+    assert sum(len(c) - 1 for c in children.values() if c) > 0
+    ran = []
+    node = dp._PathDP._node
+    monkeypatch.setattr(dp._PathDP, "_node", lambda self, tables, x: ran.append(x) or node(self, tables, x))
     caplog.set_level(logging.DEBUG, logger="tcycle.dp")
     vs = sorted(g.vertices)
-    solve_t_cycle(g, set(vs[:3]), td)
+    nodes_ran = []
+    assert solve_t_cycle(g, set(vs[-3:]), td) is not None
+    nodes_ran.append(ran[:])
+    ran.clear()
     solve_disjoint_paths(g, [(vs[0], vs[-1])], td)
+    nodes_ran.append(ran[:])
+    # the T-Cycle run stops at the node where its answer closes
+    assert len(nodes_ran[0]) < len(td.bags) == len(nodes_ran[1])
     lines = [r for r in caplog.records if r.name == "tcycle.dp"]
     assert [r.levelname for r in lines] == ["DEBUG", "DEBUG"]
-    for r, name in zip(lines, ("t-cycle", "linkage")):
+    for r, name, xs in zip(lines, ("t-cycle", "linkage"), nodes_ran):
         nodes, njoins, peak, merges = r.args
         assert r.getMessage().startswith(name)
-        assert (nodes, njoins) == (len(td.bags), joins)
+        assert (nodes, njoins) == (len(xs), sum(max(len(children[x]) - 1, 0) for x in xs))
         assert peak >= 1 and merges >= 1

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -202,6 +203,64 @@ def differential_graphs():
 def test_greedy_fill_matches_naive_reference():
     for g in differential_graphs():
         assert _greedy_fill(g) == naive_greedy_fill(g)
+
+
+def reference_validate(td, graph):
+    """The check that validate replaced: every edge in some bag, then a
+    search over each vertex's bags."""
+    if len(td.links) != len(td.bags) - 1:
+        raise InvalidDecomposition("link count is wrong for a tree")
+    td.rooted()
+    occurrences = {v: set() for v in graph.vertices}
+    for n, bag in td.bags.items():
+        for v in bag:
+            occurrences[v].add(n)
+    for eid, (u, v) in graph.edges.items():
+        if occurrences[u].isdisjoint(occurrences[v]):
+            raise EdgeUncovered(f"edge {eid} is in no bag")
+    for v, occ in occurrences.items():
+        if not occ:
+            raise VertexSubtreeDisconnected(f"vertex {v} is in no bag")
+        seen = {min(occ)}
+        stack = list(seen)
+        while stack:
+            for y in td.adj[stack.pop()]:
+                if y in occ and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != occ:
+            raise VertexSubtreeDisconnected(f"bags of vertex {v} are not connected")
+    return td.width
+
+
+def outcome(check, td, graph):
+    try:
+        return check(td, graph)
+    except InvalidDecomposition as exc:
+        return type(exc)
+
+
+def test_validate_matches_reference(min_degree_td):
+    rng = random.Random(31)
+    checked = Counter()
+    for g in differential_graphs():
+        vs = sorted(g.vertices)
+        for td in (build(g), min_degree_td(g)):
+            for _ in range(6):
+                bags = dict(td.bags)
+                for _ in range(rng.randrange(3)):  # drop a vertex from a bag, or add one
+                    n = rng.choice(sorted(bags))
+                    bags[n] = bags[n] ^ {rng.choice(sorted(bags[n]) if bags[n] and rng.random() < 0.5 else vs)}
+                changed = TreeDecomposition(bags, td.links, root=td.root)
+                want = outcome(reference_validate, changed, g)
+                got = outcome(TreeDecomposition.validate, changed, g)
+                # an edge left uncovered by a vertex whose bags fell apart is
+                # reported as the latter
+                if want is EdgeUncovered and got is VertexSubtreeDisconnected:
+                    want = got
+                assert got == want
+                checked[want if isinstance(want, type) else "valid"] += 1
+    assert min(checked.values()) >= 20 and len(checked) == 3, checked
 
 
 def random_tree_td(n, seed):
