@@ -18,7 +18,7 @@ from .dp import solve_t_cycle
 from .errors import InvalidConfiguration, TCycleError
 from .kernel import kernelize
 from .oracle import brute_disjoint_paths, brute_isolation, brute_t_cycle
-from .treewidth import build, from_pace_lines, pace_lines
+from .treewidth import cheapest, from_pace_lines, pace_lines
 
 
 def _default_seed():
@@ -129,7 +129,7 @@ def cmd_kernelize(args):
 
 def cmd_td(args):
     g = fileio.load(args.infile)
-    td = build(g)
+    td = cheapest(g)
     for line in pace_lines(td, len(g.vertices)):
         print(line)
     return 0
@@ -224,7 +224,7 @@ def build_parser():
     s.add_argument("--budget", type=int, default=None, help="isolation depth")
     s.set_defaults(fn=cmd_kernelize)
 
-    s = sub.add_parser("td", help="print a tree decomposition")
+    s = sub.add_parser("td", help="print the tree decomposition that solve uses")
     s.add_argument("infile")
     s.set_defaults(fn=cmd_td)
 

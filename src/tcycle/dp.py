@@ -59,7 +59,10 @@ over the children as they merge.  Which answer comes first follows the
 order of the tables: the input's ids and the decomposition, not the
 hash seed.
 
-The engine runs on the rooted decomposition itself, not a nice form.  A
+The engine runs on the rooted decomposition itself, not a nice form.
+Unless the caller gives one, that is `treewidth.cheapest`'s pick: the
+path decomposition of a double BFS sweep, a chain whose only join is at
+its root, unless min-fill elimination is strictly narrower.  A
 vertex's top node is the one nearest the root whose bag holds it.  The
 node step, children before parents: join the children's tables from the
 last back (as the nice form did), then forget, in sorted order, the
@@ -105,16 +108,17 @@ import logging
 from .errors import InvalidConfiguration, TCycleError
 from .graph import unembedded
 from .oracle import check_matching, is_t_loop
-from .treewidth import NiceTreeDecomposition, TreeDecomposition, build
+from .treewidth import NiceTreeDecomposition, TreeDecomposition, cheapest
 
 _log = logging.getLogger("tcycle.dp")
 
 
 def _prepare(graph, td):
-    """td validated, and its shape checked when it claims to be nice, or a
-    decomposition built here, which `build` has validated."""
+    """td validated, and its shape checked when it claims to be nice, or,
+    when td is None, `treewidth.cheapest`: the BFS path decomposition
+    unless min-fill elimination is strictly narrower, validated there."""
     if td is None:
-        return build(graph)
+        return cheapest(graph)
     td.validate(graph)
     if isinstance(td, NiceTreeDecomposition):
         td.check_shape()

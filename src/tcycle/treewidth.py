@@ -2,7 +2,18 @@
 LCA closure.
 
 No exact treewidth is attempted; every decomposition is validated before
-use, and the consumers only need validity, not optimality.
+use, and the consumers only need validity, not optimality.  There are two
+constructions:
+
+- `build`: greedy min-fill elimination (Bodlaender and Koster 2010).  The
+  protrusion decomposition reads its parts and its width off this one.
+- the path decomposition of a double BFS sweep (Kinnersley 1992), which
+  follows grids and strips along their length where min-fill cuts them
+  into a wider tree with joins.
+
+`cheapest` is what the DP runs on: the BFS path, unless min-fill is
+strictly narrower.  A tie goes to the path, which has no joins; min-fill
+stops as soon as it cannot win, so a tie costs little of it.
 """
 
 import heapq
@@ -91,27 +102,37 @@ class TreeDecomposition:
         return self.width
 
 
-def _fill(adj, v):
-    """Edges missing among the neighbours of v."""
-    nb = adj[v]
-    return sum(1 for a in nb for b in nb if a < b and b not in adj[a])
-
-
-def _greedy_fill(graph):
-    """Min-fill elimination ordering; returns (order, bags per vertex).
-
-    Each step eliminates the vertex of least fill, ties going to the
-    smallest vertex.  A heap holds (fill, vertex) entries with lazy
-    updates (Bodlaender and Koster, Treewidth computations I, 2010):
-    eliminating v changes the fill of v's neighbours and of their
-    neighbours only, so just those are recomputed and pushed, and an entry
-    whose fill is no longer current is skipped when popped.
-    """
+def _adjacency(graph):
+    """vertex -> set of neighbours, without loops."""
     adj = {v: set() for v in graph.vertices}
     for u, v in graph.edges.values():
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
+    return adj
+
+
+def _fill(adj, v):
+    """Edges missing among the neighbours of v: d(d-1)/2 less the edges
+    among them, each of which the sum counts from both ends."""
+    nb = adj[v]
+    d = len(nb)
+    return (d * (d - 1) - sum(len(nb & adj[a]) for a in nb)) // 2
+
+
+def _greedy_fill(graph, limit=None):
+    """Min-fill elimination ordering; returns (order, bags per vertex), or
+    None as soon as a bag of limit or more vertices is emitted.
+
+    Each step eliminates the vertex of least fill, ties going to the
+    smallest vertex.  A heap holds (fill, vertex) entries with lazy
+    updates (Bodlaender and Koster, Treewidth computations I, 2010): an
+    entry whose fill is no longer current is skipped when popped.
+    Eliminating v changes the neighbourhood of each neighbour of v, and
+    of no other vertex; another vertex's fill changes only where both ends
+    of a new fill edge are its neighbours.  So just those are recomputed.
+    """
+    adj = _adjacency(graph)
     fill = {v: _fill(adj, v) for v in adj}
     heap = [(f, v) for v, f in fill.items()]
     heapq.heapify(heap)
@@ -122,15 +143,20 @@ def _greedy_fill(graph):
         if best not in adj or fill[best] != f:
             continue
         nb = adj.pop(best)
+        if limit is not None and len(nb) + 1 >= limit:
+            return None
         order.append(best)
         bags.append(frozenset({best} | nb))
+        touched = set(nb)
+        for a in nb:
+            adj[a].discard(best)
+        for a in nb:
+            for b in nb - adj[a]:
+                if a < b:
+                    touched |= adj[a] & adj[b]
         for a in nb:
             adj[a] |= nb
             adj[a].discard(a)
-            adj[a].discard(best)
-        touched = set(nb)
-        for a in nb:
-            touched |= adj[a]
         for w in touched:
             f = _fill(adj, w)
             if f != fill[w]:
@@ -139,22 +165,87 @@ def _greedy_fill(graph):
     return order, bags
 
 
-def build(graph):
-    """A validated tree decomposition of graph, from min-fill elimination."""
-    if not graph.vertices:
-        return TreeDecomposition({0: frozenset()}, [])
-    order, elim_bags = _greedy_fill(graph)
-    n = len(order)
+def _eliminated(order, elim_bags):
+    """The tree decomposition of an elimination ordering: bag i is order[i]
+    with its neighbours at elimination, linked to the bag of its earliest
+    eliminated neighbour."""
     index = {v: i for i, v in enumerate(order)}
     links = []
-    for i in range(n - 1):
+    for i in range(len(order) - 1):
         rest = elim_bags[i] - {order[i]}
         if rest:
             j = min(index[v] for v in rest)
         else:
             j = i + 1
         links.append((i, j))
-    td = TreeDecomposition(dict(enumerate(elim_bags)), links)
+    return TreeDecomposition(dict(enumerate(elim_bags)), links)
+
+
+def build(graph):
+    """A validated tree decomposition of graph, from min-fill elimination."""
+    if not graph.vertices:
+        return TreeDecomposition({0: frozenset()}, [])
+    td = _eliminated(*_greedy_fill(graph))
+    td.validate(graph)
+    return td
+
+
+def _bfs(adj, source, seen):
+    """Vertices reached from source and not in seen, in breadth-first order
+    with neighbours in sorted order; adds them to seen."""
+    seen.add(source)
+    order = [source]
+    for v in order:
+        for w in sorted(adj[v]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def _bfs_path(graph):
+    """The path decomposition of a double BFS sweep (Kinnersley 1992).
+
+    Per component, taken by least vertex: a BFS from the least vertex,
+    then a second one from the last vertex the first reached.  Bag i holds
+    the i-th vertex of that order and every earlier vertex that still has
+    a neighbour at or after i.  The bags are numbered last to first, so
+    the default root is the second-last bag, and a decomposition parsed
+    from `pace_lines` roots the same way.
+    """
+    adj = _adjacency(graph)
+    order = []
+    seen = set()
+    for v in sorted(adj):
+        if v not in seen:
+            far = _bfs(adj, v, set())[-1]
+            order += _bfs(adj, far, seen)
+    pos = {v: i for i, v in enumerate(order)}
+    n = len(order)
+    leaving = [[] for _ in range(n)]  # position -> vertices in no later bag
+    bags = {}
+    live = set()
+    for i, v in enumerate(order):
+        live.add(v)
+        bags[n - 1 - i] = frozenset(live)
+        leaving[max([i, *map(pos.get, adj[v])])].append(v)
+        live.difference_update(leaving[i])
+    return TreeDecomposition(bags, [(j, j + 1) for j in range(n - 1)])
+
+
+def cheapest(graph):
+    """The validated decomposition that the DP runs on: the BFS path
+    decomposition, unless min-fill elimination is strictly narrower.
+
+    Min-fill stops at its first bag as large as the path's largest, since
+    from there on it cannot be narrower; so a tie costs little of it.
+    """
+    if not graph.vertices:
+        return TreeDecomposition({0: frozenset()}, [])
+    td = _bfs_path(graph)
+    elimination = _greedy_fill(graph, limit=td.width + 1)
+    if elimination is not None:
+        td = _eliminated(*elimination)
     td.validate(graph)
     return td
 

@@ -13,7 +13,7 @@ import tcycle
 from tcycle import cli, fileio, generate
 from tcycle.cli import main
 from tcycle.errors import ParseError
-from tcycle.treewidth import build, from_pace_lines, pace_lines
+from tcycle.treewidth import _bfs_path, build, from_pace_lines, pace_lines
 
 
 def write_instance(path, graph):
@@ -167,6 +167,21 @@ def test_td_output_round_trips(tmp_path, capsys):
     assert lines[0].startswith("s td ")
     td = from_pace_lines(lines)
     td.validate(g)
+
+
+def test_solve_along_the_printed_path_matches_solve(tmp_path, capsys):
+    # on a 3x40 ladder td prints the BFS path, which ties min-fill's width
+    g = generate.grid_with_terminals(3, 40, 4, seed=2)
+    inst = write_instance(tmp_path / "g.txt", g)
+    assert main(["td", inst]) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines() == pace_lines(_bfs_path(g), len(g.vertices))
+    td_file = tmp_path / "g.td"
+    td_file.write_text(printed)
+    plain = main(["solve", inst]), capsys.readouterr()
+    given = main(["solve", inst, "--td", str(td_file)]), capsys.readouterr()
+    assert plain == given
+    assert plain[0] == 0 and plain[1].err == ""
 
 
 def test_from_pace_lines_errors():

@@ -22,7 +22,14 @@ from tcycle.oracle import (
     brute_t_cycle,
     is_t_loop,
 )
-from tcycle.treewidth import NiceTreeDecomposition, TreeDecomposition, build, make_nice
+from tcycle.treewidth import (
+    NiceTreeDecomposition,
+    TreeDecomposition,
+    _bfs_path,
+    build,
+    cheapest,
+    make_nice,
+)
 
 
 def test_triangle_yes():
@@ -312,7 +319,7 @@ def test_three_decompositions_match_brute_force(min_degree_td):
         want_t = brute_t_cycle(g, T) is not None
         want_l = brute_disjoint_paths(g, M) is not None
         want_b = brute_boundary_linkages(g, B)
-        for td in (one_bag(g), min_degree_td(g), make_nice(build(g))):
+        for td in (one_bag(g), min_degree_td(g), make_nice(build(g)), _bfs_path(g)):
             loop = solve_t_cycle(g, T, td)
             assert (loop is not None) == want_t, (seed, T)
             assert solve_disjoint_paths(g, M, td) == want_l, (seed, M)
@@ -1190,7 +1197,7 @@ def test_merge_matches_reference_components(pa, pb):
 
 def test_each_dp_logs_one_debug_line(caplog, monkeypatch):
     g = generate.random_planar(16, seed=3)
-    td = build(g)
+    td = cheapest(g)
     _, children, _ = td.rooted()
     assert sum(len(c) - 1 for c in children.values() if c) > 0
     ran = []

@@ -5,7 +5,7 @@ import pytest
 
 from tcycle import generate, kernel
 from tcycle.decomposition import IsolationBudget
-from tcycle.dp import solve_disjoint_paths, solve_t_cycle
+from tcycle.dp import boundary_linkages, solve_disjoint_paths, solve_t_cycle
 from tcycle.errors import (
     BoundaryTooLarge,
     InvalidConfiguration,
@@ -32,7 +32,7 @@ from tcycle.kernel import (
     verify_minor_map,
 )
 from tcycle.oracle import brute_t_cycle
-from tcycle.treewidth import build
+from tcycle.treewidth import _bfs_path, build
 
 
 def edge_graph(u, v):
@@ -601,6 +601,18 @@ def seeded_parts():
         if seed % 4 == 0:
             g = generate.embed_planar(g.vertices, with_parallel_edges(g, rng))
         yield seed, g, B
+
+
+def test_boundary_linkages_do_not_depend_on_the_decomposition():
+    # a profile is the set of segment sets the part holds: min-fill and
+    # the BFS path, the two shapes the DP runs on, must list the same one
+    parts = differ = 0
+    for seed, g, B in seeded_parts():
+        tds = build(g), _bfs_path(g)
+        assert boundary_linkages(g, B, tds[0]) == boundary_linkages(g, B, tds[1]), seed
+        parts += 1
+        differ += tds[0].bags != tds[1].bags
+    assert parts >= 200 and differ >= 200
 
 
 def test_contraction_levels_match_per_level_reference():

@@ -1,6 +1,8 @@
+import heapq
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from tcycle import generate
@@ -9,11 +11,15 @@ from tcycle.errors import (
     InvalidDecomposition,
     VertexSubtreeDisconnected,
 )
+from tcycle.graph import unembedded
 from tcycle.treewidth import (
     NiceTreeDecomposition,
     TreeDecomposition,
+    _bfs_path,
     _greedy_fill,
     build,
+    cheapest,
+    from_pace_lines,
     lca_closure,
     make_nice,
     pace_lines,
@@ -203,6 +209,107 @@ def differential_graphs():
 def test_greedy_fill_matches_naive_reference():
     for g in differential_graphs():
         assert _greedy_fill(g) == naive_greedy_fill(g)
+
+
+def heap_greedy_fill(graph):
+    """Reference min-fill ordering with the heap: after each elimination it
+    recounts, pair by pair, the fill of every vertex within two steps of
+    the eliminated one."""
+
+    def fill_of(adj, v):
+        nb = adj[v]
+        return sum(1 for a in nb for b in nb if a < b and b not in adj[a])
+
+    adj = {v: set() for v in graph.vertices}
+    for u, v in graph.edges.values():
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    fill = {v: fill_of(adj, v) for v in adj}
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
+    order = []
+    bags = []
+    while heap:
+        f, best = heapq.heappop(heap)
+        if best not in adj or fill[best] != f:
+            continue
+        nb = adj.pop(best)
+        order.append(best)
+        bags.append(frozenset({best} | nb))
+        for a in nb:
+            adj[a] |= nb
+            adj[a].discard(a)
+            adj[a].discard(best)
+        touched = set(nb)
+        for a in nb:
+            touched |= adj[a]
+        for w in touched:
+            f = fill_of(adj, w)
+            if f != fill[w]:
+                fill[w] = f
+                heapq.heappush(heap, (f, w))
+    return order, bags
+
+
+def test_greedy_fill_matches_heap_reference():
+    graphs = list(differential_graphs())
+    graphs += [generate.grid(rows, cols) for rows, cols in ((2, 200), (3, 120), (4, 75), (10, 10))]
+    graphs += [generate.random_planar(n, seed=seed, k=4) for n in (60, 90, 120) for seed in (0, 1)]
+    for g in graphs:
+        want = heap_greedy_fill(g)
+        assert _greedy_fill(g) == want
+        # a limit stops it at its first bag that large, and nowhere else
+        widest = max(map(len, want[1]))
+        assert _greedy_fill(g, limit=widest) is None
+        assert _greedy_fill(g, limit=widest + 1) == want
+
+
+def several_components():
+    """Disjoint unions of grids, rings, paths and isolated vertices."""
+    parts = (generate.grid(3, 5), generate.ring(6), generate.path_graph(4), generate.grid(2, 7))
+    for count in range(1, len(parts) + 1):
+        for lonely in ((), (1000,), (0, 1000, 1001)):
+            vertices = set(lonely)
+            edges = {}
+            for i, g in enumerate(parts[:count]):
+                shift = 100 * (i + 1)
+                vertices |= {v + shift for v in g.vertices}
+                edges.update({eid + shift: (u + shift, v + shift) for eid, (u, v) in g.edges.items()})
+            yield unembedded(vertices, edges)
+
+
+def test_bfs_path_is_valid_on_several_components():
+    for g in several_components():
+        td = _bfs_path(g)
+        assert td.validate(g) <= 3
+        assert len(td.bags) == len(g.vertices)
+        assert cheapest(g).validate(g) <= build(g).width
+    for g in differential_graphs():
+        _bfs_path(g).validate(g)
+
+
+def test_bfs_path_runs_from_the_far_end():
+    # the first sweep from 1 ends at 6; the second runs 6, 5, ..., 1
+    td = _bfs_path(generate.path_graph(6))
+    assert td.bags == {5: {6}, 4: {5, 6}, 3: {4, 5}, 2: {3, 4}, 1: {2, 3}, 0: {1, 2}}
+    # bags numbered last to first: the default root is the second-last
+    # bag, in memory and in the text form
+    assert td.root == 1
+    parsed = from_pace_lines(pace_lines(td, 6))
+    assert parsed.bags[parsed.root] == {2, 3}
+
+
+def test_cheapest_takes_the_path_unless_min_fill_is_narrower():
+    ladder = generate.grid(3, 40)
+    assert build(ladder).width == cheapest(ladder).width == 3
+    assert cheapest(ladder).bags == _bfs_path(ladder).bags  # a tie
+    tree = generate.from_networkx_planar(nx.balanced_tree(2, 4))
+    assert _bfs_path(tree).width > 1
+    assert cheapest(tree).bags == build(tree).bags
+    assert cheapest(tree).links == build(tree).links
+    # the 10x10 grid: min-fill gives width 13, the path 10
+    assert cheapest(generate.grid_with_terminals(10, 10, 4, seed=0)).width <= 10
 
 
 def reference_validate(td, graph):
