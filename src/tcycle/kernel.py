@@ -22,7 +22,10 @@ candidate with the part's profile wins.  Each part's profile is computed
 once and shared by the contraction and the final check.  Every swap is
 certified before it is made: the replacement's own profile must equal
 the part's, and its branch sets must pass an independent rooted
-minor-model check.
+minor-model check.  No planarity test runs: the profile and the minor
+check read no rotation, and the splice contracts the branch sets inside
+the kernel's own rotation system, so the new kernel inherits its
+embedding and one Euler trace certifies it.
 
 kernelize runs four stages: reduce, decompose into protrusions,
 decompose each protrusion into subprotrusions, and contract each
@@ -43,8 +46,7 @@ from .errors import (
     TCycleError,
     UnknownVertex,
 )
-from .generate import embed_planar
-from .graph import pieces, unembedded
+from .graph import EmbeddedGraph, pieces, unembedded
 from .treewidth import build, lca_closure, make_nice
 
 BOUNDARY_LIMIT = 6
@@ -247,9 +249,11 @@ def contraction_replacement(protrusion, boundary, target):
     of the interior, down to at most CONTRACTED_INTERIOR_LIMIT interior
     vertices, and the rim quotients of up to RIM_QUOTIENT_LIMIT faces that
     hold the whole boundary; the smallest whose profile still matches wins,
-    the levels first on ties.  The profile reads no rotation, so only that
-    winner is embedded by a planarity test.  target is the protrusion's
-    profile.  Returns None when every candidate changes the profile.
+    the levels first on ties.  The winner is the quotient graph with its
+    placeholder rotation: nothing reads its rotation, as the profile and
+    the minor check do not and splice contracts the host's rotation along
+    the branch sets.  target is the protrusion's profile.  Returns None
+    when every candidate changes the profile.
     """
     B = sorted(set(boundary))
     if len(B) > BOUNDARY_LIMIT:
@@ -266,10 +270,6 @@ def contraction_replacement(protrusion, boundary, target):
         if len(H.vertices) >= len(protrusion.vertices):
             continue
         if linkage_profile(H, B) != target:
-            continue
-        try:
-            H = embed_planar(H.vertices, H.edges)
-        except TCycleError:  # a guard: every quotient of a plane part is planar
             continue
         return H, {
             "old_size": len(protrusion.vertices),
@@ -341,16 +341,23 @@ def _quotient(protrusion, rep):
     for v in protrusion.vertices:
         if v in rep:
             classes.setdefault(rep[v], set()).add(v)
+    mult = _class_pairs(protrusion.edges, rep)
+    edges = {}
+    for pair in sorted(mult):
+        for _ in range(mult[pair]):
+            edges[len(edges) + 1] = pair
+    return unembedded(set(classes), edges), {r: frozenset(vs) for r, vs in classes.items()}
+
+
+def _class_pairs(edges, rep):
+    """Sorted pair of class labels -> number of the edges between the two
+    classes, capped at two; edges at a vertex the rep map omits drop out."""
     mult = {}
-    for u, v in protrusion.edges.values():
+    for u, v in edges.values():
         if u in rep and v in rep and rep[u] != rep[v]:
             pair = tuple(sorted((rep[u], rep[v])))
             mult[pair] = mult.get(pair, 0) + 1
-    edges = {}
-    for pair in sorted(mult):
-        for _ in range(min(2, mult[pair])):
-            edges[len(edges) + 1] = pair
-    return unembedded(set(classes), edges), {r: frozenset(vs) for r, vs in classes.items()}
+    return {pair: min(2, n) for pair, n in mult.items()}
 
 
 def _rim_reps(protrusion, boundary):
@@ -440,44 +447,123 @@ def is_minor_model(host, pattern, branch):
 # -- splicing ---------------------------------------------------------------
 
 
-def splice(host, part, replacement, boundary):
-    """Replace the interior of part (everything off the boundary) with the
-    replacement graph; the result is re-embedded and re-validated."""
+def splice(host, pgraph, branch, boundary):
+    """Contract each branch set of the part pgraph to its label inside the
+    host, and delete the part vertices that no branch set holds.
+
+    The result inherits the host's embedding, as rotation systems are
+    closed under deletion and contraction (Mohar and Thomassen, Graphs on
+    Surfaces, 2001).  Only the part's edges change: in each class a
+    spanning tree of its edges is contracted and its other edges are
+    deleted, and between two classes the two smallest edge ids survive,
+    so the contracted region is the replacement _quotient(pgraph, rep)
+    builds.  A merged vertex's rotation is the walk around its tree, and
+    every other vertex keeps its host rotation without the deleted edges.
+    Vertex and edge ids are the host's; a class takes its label's id, so
+    each boundary vertex must label its own class.  The Euler trace of the
+    result certifies the rotation.
+
+    Raises SpliceError when a branch set is not connected through part
+    edges or holds two boundary vertices, when an interior vertex touches
+    the rest of the host, or when the contracted region's edge multiset
+    differs from the replacement's."""
     B = frozenset(boundary)
-    part = frozenset(part)
-    interior = part - B
-    if not B <= replacement.vertices:
-        raise SpliceError("replacement misses boundary vertices")
-    for v in interior:
-        if not host.neighbors(v) <= part:
-            raise SpliceError("part interior touches the rest of the host")
-    keep = host.vertices - interior
-    vertices = set(keep)
-    edges = {
-        eid: (u, v)
-        for eid, (u, v) in host.edges.items()
-        if u in keep and v in keep
-    }
-    relabel = {}
-    nxt = max(list(host.vertices) + [0]) + 1
-    for v in sorted(replacement.vertices):
-        if v in B:
-            relabel[v] = v
+    part = pgraph.vertices
+    if not part <= host.vertices:
+        raise SpliceError("part vertices are not host vertices")
+    rep = {}
+    for label, vs in branch.items():
+        if len(vs & B) > 1:
+            raise SpliceError(f"branch set of {label} holds two boundary vertices")
+        if label not in vs or not vs <= part or not rep.keys().isdisjoint(vs):
+            raise SpliceError(f"branch set of {label} is not its own set of part vertices")
+        rep.update(dict.fromkeys(vs, label))
+    for b in B:
+        if rep.get(b) != b:
+            raise SpliceError(f"boundary vertex {b} does not label its own branch set")
+    part_edges = pgraph.edges
+    rotation, hedges = host.rotation, host.edges
+    for v in part - B:
+        if not part_edges.keys() >= set(rotation.get(v, ())):
+            raise SpliceError(f"interior vertex {v} touches the rest of the host")
+
+    links = {v: [] for v in rep}  # edges inside one class
+    across = {}  # pair of labels -> the edge ids between the two classes
+    dead = set()
+    for e in sorted(part_edges):
+        if e not in hedges:
+            raise SpliceError(f"part edge {e} is not a host edge")
+        u, v = hedges[e]
+        a, b = rep.get(u), rep.get(v)
+        if a is None or b is None:
+            dead.add(e)
+        elif a == b:
+            # contracted if the class's spanning tree takes it, else deleted
+            dead.add(e)
+            if u != v:
+                links[u].append((v, e))
+                links[v].append((u, e))
         else:
-            relabel[v] = nxt
-            nxt += 1
-    vertices |= set(relabel.values())
-    eid = max(list(host.edges) + [0]) + 1
-    for old in sorted(replacement.edges):
-        u, v = replacement.edges[old]
-        edges[eid] = tuple(sorted((relabel[u], relabel[v])))
-        eid += 1
+            across.setdefault((min(a, b), max(a, b)), []).append(e)
+    if {pair: min(2, len(ids)) for pair, ids in across.items()} != _class_pairs(part_edges, rep):
+        raise SpliceError("the contracted region's edges are not the replacement's")
+    for ids in across.values():
+        dead.update(ids[2:])
+
+    vertices = (host.vertices - part) | branch.keys()
+    edges = {e: uv for e, uv in hedges.items() if e not in dead}
+    for ids in across.values():
+        for e in ids[:2]:
+            u, v = hedges[e]
+            edges[e] = (rep[u], rep[v])
+    rot = {v: r for v, r in rotation.items() if v not in part}
+    for label, vs in branch.items():
+        if len(vs) == 1:
+            r = tuple([e for e in rotation.get(label, ()) if e not in dead])
+        else:
+            r = _tree_walk(rotation, hedges, label, vs, links, dead)
+        if r:
+            rot[label] = r
+    hint = host.outer_hint if host.outer_hint and host.outer_hint <= vertices else None
     try:
-        out = embed_planar(vertices, edges, host.terminals & vertices)
+        out = EmbeddedGraph(vertices, edges, rot, host.terminals - (part - B), hint)
         out.embedding()
     except TCycleError as exc:
         raise SpliceError(str(exc)) from exc
     return out
+
+
+def _tree_walk(rotation, hedges, label, vs, links, dead):
+    """The rotation of branch set vs contracted to one vertex: a spanning
+    tree of its links, grown from label, is walked around, crossing each
+    tree edge and emitting every other edge end that is not dead."""
+    tree = set()
+    seen = {label}
+    stack = [label]
+    while stack:
+        for y, e in links[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                tree.add(e)
+                stack.append(y)
+    if len(seen) != len(vs):
+        raise SpliceError(f"branch set of {label} is not connected through part edges")
+    # where each tree edge sits in the rotation at either end; a tree edge
+    # is no loop, so it sits there once
+    at = {(x, e): i for x in vs for i, e in enumerate(rotation[x]) if e in tree}
+    out = []
+    x, i = label, 0
+    while True:
+        e = rotation[x][i]
+        if e in tree:
+            a, b = hedges[e]
+            x = b if a == x else a
+            i = at[x, e]
+        elif e not in dead:
+            out.append(e)
+        i = (i + 1) % len(rotation[x])
+        if x == label and i == 0:
+            return tuple(out)
 
 
 def part_graph(graph, part, boundary):
@@ -564,8 +650,8 @@ def kernelize(graph, terminals=None, budget=None):
             if found is None:
                 report.kept_verbatim += 1
                 continue
-            H, certificate = found
-            kernel = splice(kernel, sub | sub_b, H, sub_b)
+            _, certificate = found
+            kernel = splice(kernel, pgraph, certificate["branch_sets"], sub_b)
             report.replacements.append(certificate)
 
     report.final_size = len(kernel.vertices)

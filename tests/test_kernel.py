@@ -14,7 +14,7 @@ from tcycle.errors import (
     SpliceError,
     TCycleError,
 )
-from tcycle.graph import EmbeddedGraph
+from tcycle.graph import EmbeddedGraph, unembedded
 from tcycle.kernel import (
     CONTRACTED_INTERIOR_LIMIT,
     RIM_QUOTIENT_LIMIT,
@@ -182,25 +182,55 @@ def test_part_graph_drops_boundary_edges():
 
 def test_splice_path_interior():
     host = generate.path_graph(5, terminals={1, 5})
-    out = splice(host, {1, 2, 3, 4, 5}, edge_graph(1, 5), {1, 5})
+    pgraph = part_graph(host, {2, 3, 4}, {1, 5})
+    out = splice(host, pgraph, {1: frozenset({1, 2, 3, 4}), 5: frozenset({5})}, {1, 5})
     assert out.vertices == frozenset({1, 5})
-    assert len(out.edges) == 1
+    # the host's edge ids survive: edge 4 ran 4-5 and now runs 1-5
+    assert out.edges == {4: (1, 5)}
     assert out.terminals == frozenset({1, 5})
 
 
 def test_splice_rejects_bad_inputs():
     host = generate.path_graph(5)
-    with pytest.raises(SpliceError):
-        splice(host, {1, 2, 3, 4, 5}, edge_graph(1, 2), {1, 5})
-    with pytest.raises(SpliceError):
+    with pytest.raises(SpliceError, match="boundary vertex 5"):
+        # boundary vertex 5 is in no branch set
+        splice(host, host, {1: frozenset({1, 2})}, {1, 5})
+    with pytest.raises(SpliceError, match="touches the rest of the host"):
         # interior vertex 3 still has a neighbor outside the claimed part
-        splice(host, {3, 4}, edge_graph(4, 6), {4})
+        splice(host, host.subgraph({3, 4}), {4: frozenset({3, 4})}, {4})
+
+
+def test_splice_rejects_a_branch_set_that_is_not_connected():
+    host = generate.path_graph(5)
+    pgraph = part_graph(host, {2, 3, 4}, {1, 5})
+    branch = {1: frozenset({1, 3}), 5: frozenset({2, 4, 5})}
+    with pytest.raises(SpliceError, match="not connected"):
+        splice(host, pgraph, branch, {1, 5})
+
+
+def test_splice_rejects_two_boundary_vertices_in_one_class():
+    host = generate.path_graph(5)
+    with pytest.raises(SpliceError, match="two boundary vertices"):
+        splice(host, host, {1: frozenset(host.vertices)}, {1, 5})
+
+
+def test_splice_rejects_a_region_that_is_not_the_replacement():
+    # the part claims edge 3 joins 1 and 2, but in the host it joins 1 and
+    # 3: contracting the host would leave two 1-3 edges, the part's
+    # quotient has one
+    host = generate.embed_planar({1, 2, 3}, {1: (1, 2), 2: (2, 3), 3: (1, 3)})
+    pgraph = unembedded({1, 2, 3}, {1: (1, 2), 2: (2, 3), 3: (1, 2)})
+    branch = {1: frozenset({1, 2}), 3: frozenset({3})}
+    with pytest.raises(SpliceError, match="not the replacement"):
+        splice(host, pgraph, branch, {1, 3})
+    # the host's own part splices
+    assert splice(host, host, branch, {1, 3}).edges == {2: (1, 3), 3: (1, 3)}
 
 
 def test_splice_keeps_parallel_replacement_edges():
     host = generate.ring(6, terminals={1, 4})
-    H, _ = contraction_replacement(host, [1, 4], linkage_profile(host, [1, 4]))
-    out = splice(host, set(host.vertices), H, {1, 4})
+    H, cert = contraction_replacement(host, [1, 4], linkage_profile(host, [1, 4]))
+    out = splice(host, host, cert["branch_sets"], {1, 4})
     assert out.vertices == frozenset({1, 4})
     assert len(out.edges) == 2
     assert solve_t_cycle(out, {1, 4}) is not None
@@ -744,7 +774,6 @@ def test_contraction_replacement_matches_embed_every_candidate_reference():
             (H, cert), (H_ref, branch_ref) = got, want
             assert H.vertices == H_ref.vertices, seed
             assert H.edges == H_ref.edges, seed
-            assert H.rotation == H_ref.rotation, seed
             assert cert["branch_sets"] == branch_ref, seed
             won += 1
         parts += 1
@@ -776,3 +805,148 @@ def test_embed_planar_matches_reference_on_multigraphs():
     # from_networkx_planar numbers the sorted pairs from 1
     h = generate.from_networkx_planar(nx.Graph([(3, 1), (2, 1)]))
     assert h.edges == {1: (1, 2), 2: (1, 3)}
+
+
+# -- splicing as it was done before: the replacement's interior renamed to
+# -- fresh ids and the whole kernel re-embedded by a planarity test
+
+
+def ref_splice(host, part, replacement, boundary):
+    """Replace the interior of part (everything off the boundary) with the
+    replacement graph; the result is re-embedded and re-validated."""
+    B = frozenset(boundary)
+    part = frozenset(part)
+    interior = part - B
+    if not B <= replacement.vertices:
+        raise SpliceError("replacement misses boundary vertices")
+    for v in interior:
+        if not host.neighbors(v) <= part:
+            raise SpliceError("part interior touches the rest of the host")
+    keep = host.vertices - interior
+    vertices = set(keep)
+    edges = {
+        eid: (u, v)
+        for eid, (u, v) in host.edges.items()
+        if u in keep and v in keep
+    }
+    relabel = {}
+    nxt = max(list(host.vertices) + [0]) + 1
+    for v in sorted(replacement.vertices):
+        if v in B:
+            relabel[v] = v
+        else:
+            relabel[v] = nxt
+            nxt += 1
+    vertices |= set(relabel.values())
+    eid = max(list(host.edges) + [0]) + 1
+    for old in sorted(replacement.edges):
+        u, v = replacement.edges[old]
+        edges[eid] = tuple(sorted((relabel[u], relabel[v])))
+        eid += 1
+    try:
+        out = generate.embed_planar(vertices, edges, host.terminals & vertices)
+        out.embedding()
+    except TCycleError as exc:
+        raise SpliceError(str(exc)) from exc
+    return out
+
+
+def criterion_8_instances():
+    """Criterion 8's 200 small and 100 large instances, each with the
+    isolation budget that criterion kernelizes it at."""
+    for seed in range(200):
+        rng = random.Random(seed + 120_000)
+        g = generate.random_planar(rng.randrange(8, 15), seed=seed + 120_000)
+        T = set(rng.sample(sorted(g.vertices), rng.randrange(1, 6)))
+        yield g.with_terminals(T), None
+    for i in range(40):
+        rng = random.Random(i)
+        n = rng.randrange(20, 61)
+        yield generate.random_planar(n, seed=i + 300, k=rng.randrange(1, 7)), IsolationBudget(2)
+    for i in range(30):
+        rng = random.Random(i + 40)
+        rows = 3 + i % 3
+        cols = rng.randrange(12, 300 // rows + 1)
+        g = generate.grid_with_terminals(rows, cols, rng.randrange(2, 7), seed=i)
+        yield g, IsolationBudget(2)
+    for i in range(20):
+        rng = random.Random(i + 80)
+        depth = rng.randrange(4, 16)
+        rs = rng.randrange(4, 7)
+        g = generate.nested_rings(depth, ring_size=rs)
+        outer = generate.ring_ids(depth, rs)[-1]
+        T = set(rng.sample(outer, rng.randrange(2, 4)))
+        yield g.with_terminals(T), IsolationBudget(2)
+    for i in range(10):
+        yield generate.grid_with_terminals(5, 12 + 5 * i, 5, seed=i), IsolationBudget(2)
+
+
+def test_splice_matches_reembedding_reference(monkeypatch):
+    # every replacement of criterion 8, spliced both ways into one host
+    spliced = merged = instances = 0
+    honest = kernel.splice
+
+    def both(host, pgraph, branch, boundary):
+        nonlocal spliced, merged
+        out = honest(host, pgraph, branch, boundary)
+        H, _ = _quotient(pgraph, {v: p for p, vs in branch.items() for v in vs})
+        ref = ref_splice(host, pgraph.vertices, H, boundary)
+        # the old splice numbered the interior labels, sorted, from above
+        # the host's largest vertex
+        fresh = max(host.vertices) + 1
+        labels = sorted(set(branch) - set(boundary))
+        name = dict(zip(range(fresh, fresh + len(labels)), labels))
+        ref_pairs = [tuple(sorted(name.get(x, x) for x in uv)) for uv in ref.edges.values()]
+        assert out.vertices == {name.get(v, v) for v in ref.vertices}
+        assert sorted(map(tuple, map(sorted, out.edges.values()))) == sorted(ref_pairs)
+        assert out.terminals == {name.get(v, v) for v in ref.terminals}
+        # the inherited rotation passes the Euler trace of a fresh graph
+        EmbeddedGraph(out.vertices, out.edges, out.rotation).embedding()
+        moved = {p for p, vs in branch.items() if len(vs) > 1}
+        for v in out.vertices - moved:
+            want = tuple(e for e in host.rotation.get(v, ()) if e in out.edges)
+            assert out.rotation.get(v, ()) == want, v
+        assert (solve_t_cycle(out, out.terminals) is None) == (
+            solve_t_cycle(ref, ref.terminals) is None
+        )
+        spliced += 1
+        merged += len(moved)
+        return out
+
+    monkeypatch.setattr(kernel, "splice", both)
+    for g, budget in criterion_8_instances():
+        kernelize(g, budget=budget)
+        instances += 1
+    assert instances == 300 and spliced >= 280 and merged >= 400, (spliced, merged)
+
+
+def test_certificate_labels_are_kernel_vertices():
+    # the --report branch sets are named by their labels, which the kernel
+    # keeps as the merged vertices' ids
+    replaced = 0
+    for rows, cols in ((5, 10), (10, 10), (10, 20), (20, 20)):
+        g = generate.grid_with_terminals(rows, cols, 5)
+        k, report = kernelize(g, budget=IsolationBudget(1))
+        for cert in report.replacements:
+            assert set(cert["branch_sets"]) <= k.vertices, (rows, cols)
+            replaced += 1
+    assert replaced >= 4
+
+
+def test_kernelize_runs_no_planarity_test(monkeypatch):
+    import networkx as nx
+
+    grid = generate.grid_with_terminals(5, 10, 5)
+    small = [g for g, _ in itertools.islice(criterion_8_instances(), 60)]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("kernelize ran a planarity test")
+
+    monkeypatch.setattr(nx, "check_planarity", refuse)
+    k, report = kernelize(grid, budget=IsolationBudget(1))
+    assert report.replacements
+    with_replacements = 0
+    for g in small:
+        k, report = kernelize(g)
+        with_replacements += bool(report.replacements)
+    assert with_replacements >= 20
