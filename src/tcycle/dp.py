@@ -72,6 +72,18 @@ the nodes holding both endpoints form a subtree, and that is its top.
 Taken any earlier, say all of a node's edges before its first forget, a
 one-bag decomposition would hold every partial path of the graph at once.
 
+Where a run stops depends on the root as well as the bags.  A T-Cycle
+run can stop at the first node whose subtree touches every terminal, so
+`solve_t_cycle` re-roots a tree with more than two leaves at the leaf
+whose postorder reaches such a node soonest, counting 3^|bag| for each
+node on the way (`_rerooted`); a path keeps its root.  Bags and links
+stay, so only which answer comes first may change.  Every run, of any
+problem, also stops at its first empty table.  Every table above it is
+empty too.  And the empty state, which every step but the forget of a
+required vertex keeps, is gone, so a required vertex was forgotten
+below: no cycle closing outside the node's subtree counts it.  A
+profile run, with no required vertex, never stops this way.
+
 Witnesses are backpointers, not edge sets: None at a leaf, (prev, eid)
 where an edge step took eid, and (wa, wb) at a join.  States share their
 history this way, and the edge set of the answer is rebuilt at the end.
@@ -98,7 +110,7 @@ one-path pairing {u, v}; each such step caches its settled merges.
 
 At the end of a run the engine logs one DEBUG line to the "tcycle.dp"
 logger, named after the problem: the nodes that ran (every node, unless
-a T-Cycle run stopped) and their joins (a node with c children makes
+the run stopped early) and their joins (a node with c children makes
 c - 1), the peak table size and the number of distinct pairs of pairings
 that joins spliced.
 """
@@ -116,13 +128,76 @@ _log = logging.getLogger("tcycle.dp")
 def _prepare(graph, td):
     """td validated, and its shape checked when it claims to be nice, or,
     when td is None, `treewidth.cheapest`: the BFS path decomposition
-    unless min-fill elimination is strictly narrower, validated there."""
+    unless min-fill elimination is strictly narrower, validated there.
+    The root is td's own; `solve_t_cycle` then moves it by `_rerooted`.
+    Any run stops at its first empty table (module docstring)."""
     if td is None:
         return cheapest(graph)
     td.validate(graph)
     if isinstance(td, NiceTreeDecomposition):
         td.check_shape()
     return td
+
+
+def _rerooted(td, terminals):
+    """td rooted where a T-Cycle run's stop rule can fire soonest: at the
+    leaf whose postorder, as `_PathDP` walks it, reaches a node whose
+    subtree touches every terminal after the least work, counted as
+    3^|bag| per node walked.  Ties go to the smallest node id.  A path
+    keeps its root.
+
+    That node is found by descending from the root into the first child,
+    in order, whose subtree touches every terminal; the walk before it
+    covers the subtrees of the children passed over, and it ends at a
+    node with no such child.  A subtree of td's own rooting and the rest
+    of the tree are the two sides of a link, so one pass up td's rooting
+    gives both sides' weights and whether they touch every terminal: the
+    subtree of x touches terminal t iff t is in x's bag or t's top node is
+    in the subtree, and the rest of the tree iff t's top node is not.
+    """
+    leaves = sorted(x for x, nb in td.adj.items() if len(nb) <= 1)
+    if len(leaves) <= 2:
+        return td
+    parent, children, order = td.rooted()
+    weight = {x: 3 ** len(bag) for x, bag in td.bags.items()}
+    total = sum(weight.values())
+    below = {}  # x -> terminals whose top node is in the subtree of x
+    heavy = {}  # x -> summed weight of the subtree of x
+    full = {}  # x -> whether that subtree touches every terminal
+    for x in reversed(order):
+        kids = children[x]
+        under = sum(below[c] for c in kids)
+        here = terminals.intersection(td.bags[x])
+        full[x] = under + len(here) == len(terminals)
+        below[x] = under + len(here.difference(td.bags.get(parent[x], ())))
+        heavy[x] = weight[x] + sum(heavy[c] for c in kids)
+
+    def stop_cost(x, bound):
+        """The weight walked from leaf x, or a weight of at least bound."""
+        cost, prev = 0, None
+        while cost < bound:
+            for y in sorted(td.adj[x]):
+                if y == prev:
+                    continue
+                # the side of y when the link xy is cut
+                if parent[y] == x:
+                    w, reaches = heavy[y], full[y]
+                else:
+                    w, reaches = total - heavy[x], not below[x]
+                if reaches:
+                    x, prev = y, x
+                    break
+                cost += w
+            else:
+                return cost + weight[x]
+        return cost
+
+    best, bound = None, float("inf")
+    for leaf in leaves:
+        cost = stop_cost(leaf, bound)
+        if cost < bound:
+            best, bound = leaf, cost
+    return TreeDecomposition(td.bags, td.links, root=best)
 
 
 def _merge(pa, pb):
@@ -247,13 +322,16 @@ class _PathDP:
         return _edges(root[key])
 
     def root_table(self):
-        """The table at the root: state -> witness.  A T-Cycle run raises
-        _Found instead where its answer closes."""
+        """The table at the root: state -> witness, or {} at the first
+        empty table.  A T-Cycle run raises _Found instead where its answer
+        closes."""
         tables = {}
         self.peak = ran = 0
         try:
             for ran, node in enumerate(self.postorder, 1):
-                tables[node] = self._node(tables, node)
+                table = tables[node] = self._node(tables, node)
+                if not table:  # so is every table above it
+                    return {}
         finally:
             if _log.isEnabledFor(logging.DEBUG):
                 _log.debug(
@@ -410,7 +488,7 @@ def solve_t_cycle(graph, terminals=None, td=None):
         raise InvalidConfiguration("terminal set is empty")
     if not T <= graph.vertices:
         raise InvalidConfiguration("terminal is not a vertex")
-    td = _prepare(graph, td)
+    td = _rerooted(_prepare(graph, td), T)
     wit = _PathDP("t-cycle", graph, td, dict.fromkeys(T, 2), frozenset(), True).run()
     if wit is None:
         return None

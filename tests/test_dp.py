@@ -28,7 +28,9 @@ from tcycle.treewidth import (
     _bfs_path,
     build,
     cheapest,
+    from_pace_lines,
     make_nice,
+    pace_lines,
 )
 
 
@@ -347,15 +349,23 @@ def test_bad_witness_raises(monkeypatch):
         solve_t_cycle(g)
 
 
+def solve_rooted(g, T, td):
+    """The T-Cycle engine's edge ids on td as rooted, which solve_t_cycle
+    would re-root, or None."""
+    return dp._PathDP("t-cycle", g, td, dict.fromkeys(T, 2), frozenset(), True).run()
+
+
 def check_against_brute(edges, T, bags, links):
-    """Solve on the hand-built decomposition rooted at node 0 and compare
-    with brute force; returns the verdict."""
+    """Solve on the hand-built decomposition rooted at node 0, and as
+    solve_t_cycle roots it, and compare with brute force; returns the
+    verdict."""
     g = unembedded({v for e in edges.values() for v in e}, edges)
     td = TreeDecomposition(bags, links, root=0)
-    loop = solve_t_cycle(g, T, td)
-    assert (loop is None) == (brute_t_cycle(g, T) is None)
-    assert loop is None or is_t_loop(g, T, loop)
-    return loop is not None
+    want = brute_t_cycle(g, T) is not None
+    for loop in (solve_rooted(g, T, td), solve_t_cycle(g, T, td)):
+        assert (loop is not None) == want
+        assert loop is None or is_t_loop(g, T, loop)
+    return want
 
 
 def test_a_cycle_closing_before_the_last_child_is_merged_stops_only_without_it():
@@ -379,6 +389,97 @@ def test_a_cycle_missing_a_live_terminal_does_not_stop_the_run():
     # forgotten at degree 2 and while terminal 3 is live at degree 2
     edges[5] = (2, 3)
     assert check_against_brute(edges, {1, 3, 4}, bags, [(0, 1)])
+
+
+def rerooting_instances():
+    """(graph, terminals) of join_instances() and of criterion 1's random
+    planar batch."""
+    for g, T, _ in join_instances():
+        yield g, frozenset(T)
+    for seed in range(1000):
+        rng = random.Random(seed)
+        g = generate.random_planar(rng.randrange(6, 13), seed=seed)
+        yield g, frozenset(rng.sample(sorted(g.vertices), rng.randrange(1, 6)))
+
+
+def test_every_root_gives_the_verdict_of_the_chosen_one():
+    seen = Counter()  # (root moved, verdict)
+    for g, T in rerooting_instances():
+        td = build(g)
+        chosen = dp._rerooted(td, T)
+        assert chosen.bags == td.bags and chosen.links == td.links
+        leaves = [x for x, nb in td.adj.items() if len(nb) <= 1]
+        if len(leaves) > 2:
+            assert chosen.root in leaves
+        else:
+            assert chosen is td
+        want = solve_t_cycle(g, T, td) is not None
+        seen[chosen.root != td.root, want] += 1
+        for root in td.bags:
+            loop = solve_rooted(g, T, TreeDecomposition(td.bags, td.links, root=root))
+            assert (loop is not None) == want, (sorted(T), root)
+            assert loop is None or is_t_loop(g, T, loop)
+    # both verdicts on moved roots
+    assert seen[True, True] >= 40 and seen[True, False] >= 40, seen
+
+
+def ref_root(g, td, T):
+    """The root rule of `dp._rerooted` as stated: per leaf, walk the
+    engine's postorder up to the first node whose subtree's bags hold
+    every terminal, summing 3^|bag|; the least sum wins, then the least
+    node id.  A tree with at most two leaves keeps its root."""
+    leaves = [x for x, nb in td.adj.items() if len(nb) <= 1]
+    if len(leaves) <= 2:
+        return td.root
+    costs = []
+    for leaf in leaves:
+        run = dp._PathDP("t-cycle", g, TreeDecomposition(td.bags, td.links, root=leaf),
+                         {}, frozenset(), True)
+        cost = 0
+        touched = {}
+        for x in run.postorder:
+            cost += 3 ** len(td.bags[x])
+            touched[x] = T.intersection(td.bags[x]).union(*(touched[c] for c in run.children[x]))
+            if touched[x] == T:
+                break
+        costs.append((cost, leaf))
+    return min(costs)[1]
+
+
+def test_rerooting_follows_its_rule_and_ignores_renumbering(min_degree_td):
+    for i, (g, T) in enumerate(rerooting_instances()):
+        if i % 4:
+            continue
+        path = _bfs_path(g)
+        assert dp._rerooted(path, T) is path
+        for td in (build(g), min_degree_td(g)):
+            root = dp._rerooted(td, T).root
+            assert root == ref_root(g, td, T)
+            renum = {x: j for j, x in enumerate(sorted(td.bags), 1)}
+            parsed = from_pace_lines(pace_lines(td, len(g.vertices)))
+            assert dp._rerooted(parsed, T).root == renum[root]
+
+
+def test_a_run_stops_at_its_first_empty_table(monkeypatch):
+    # the pendant terminal 13 is forgotten at degree 1 in the first bag
+    # that runs, {1, 13}, so no state survives there
+    g = generate.grid(3, 4)
+    edges = dict(g.edges)
+    edges[max(edges) + 1] = (1, 13)
+    g = unembedded(g.vertices | {13}, edges)
+    td = cheapest(g)
+    ran = []  # (node, size of its table)
+    node = dp._PathDP._node
+    monkeypatch.setattr(
+        dp._PathDP, "_node",
+        lambda self, tables, x: ran.append((x, len(t := node(self, tables, x)))) or t,
+    )
+    assert solve_t_cycle(g, {12, 13}, td) is None
+    assert ran == [(0, 0)] and td.bags[0] == {1, 13}
+    # a profile run keeps the all-zero state, so it runs every node
+    ran.clear()
+    assert boundary_linkages(g, {12, 13}, td)
+    assert len(ran) == len(td.bags) and all(size for _, size in ran)
 
 
 # -- the engine as it ran on nice decompositions, kept as the oracle ----------
@@ -1200,9 +1301,12 @@ def test_each_dp_logs_one_debug_line(caplog, monkeypatch):
     td = cheapest(g)
     _, children, _ = td.rooted()
     assert sum(len(c) - 1 for c in children.values() if c) > 0
-    ran = []
+    ran = []  # (children in the rooting the run used, node)
     node = dp._PathDP._node
-    monkeypatch.setattr(dp._PathDP, "_node", lambda self, tables, x: ran.append(x) or node(self, tables, x))
+    monkeypatch.setattr(
+        dp._PathDP, "_node",
+        lambda self, tables, x: ran.append((self.children, x)) or node(self, tables, x),
+    )
     caplog.set_level(logging.DEBUG, logger="tcycle.dp")
     vs = sorted(g.vertices)
     nodes_ran = []
@@ -1218,5 +1322,5 @@ def test_each_dp_logs_one_debug_line(caplog, monkeypatch):
     for r, name, xs in zip(lines, ("t-cycle", "linkage"), nodes_ran):
         nodes, njoins, peak, merges = r.args
         assert r.getMessage().startswith(name)
-        assert (nodes, njoins) == (len(xs), sum(max(len(children[x]) - 1, 0) for x in xs))
+        assert (nodes, njoins) == (len(xs), sum(max(len(ch[x]) - 1, 0) for ch, x in xs))
         assert peak >= 1 and merges >= 1
