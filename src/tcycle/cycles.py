@@ -79,6 +79,43 @@ class Segment:
         return frozenset(self.edges)
 
 
+def _cycle_walk(graph, cycle_edges):
+    """A cycle as (vertices, edges) in cyclic order from its least vertex:
+    edges[i] joins vertices[i] and vertices[i + 1], the last edge closing
+    back to vertices[0]."""
+    adj = {}
+    for eid in cycle_edges:
+        u, v = graph.edges[eid]
+        adj.setdefault(u, []).append((eid, v))
+        adj.setdefault(v, []).append((eid, u))
+    start = min(adj)
+    verts = [start]
+    eid, cur = adj[start][0]
+    edges = [eid]
+    while cur != start:
+        verts.append(cur)
+        eid, cur = next((e, w) for e, w in adj[cur] if e != eid)
+        edges.append(eid)
+    return verts, edges
+
+
+def _runs(seg, level, keep):
+    """The maximal runs of consecutive edges of seg that keep accepts, as
+    Segments at level."""
+    runs = []
+    for pos, eid in enumerate(seg.edges):
+        if not keep(eid):
+            continue
+        if runs and runs[-1][1] == pos - 1:
+            runs[-1][1] = pos
+        else:
+            runs.append([pos, pos])
+    return [
+        Segment(level, tuple(seg.vertices[a : b + 2]), tuple(seg.edges[a : b + 1]))
+        for a, b in runs
+    ]
+
+
 class CLConfiguration:
     """A concentric sequence together with a T-loop avoiding the outermost
     closed disk's terminals."""
@@ -98,32 +135,13 @@ class CLConfiguration:
             raise InvalidConfiguration("loop misses a terminal")
         if self.terminals & seq.disks[-1].vertices:
             raise InvalidConfiguration("terminal inside the outermost disk")
-        self._walk = self._loop_walk()
+        self._walk = _cycle_walk(self.graph, self.loop)
         self._segments = {}
         self._zones = {}
 
     @property
     def depth(self):
         return self.seq.depth
-
-    def _loop_walk(self):
-        """The loop as a cyclic alternating sequence v0 e0 v1 e1 ..."""
-        adj = {}
-        for eid in self.loop:
-            u, v = self.graph.edges[eid]
-            adj.setdefault(u, []).append((eid, v))
-            adj.setdefault(v, []).append((eid, u))
-        start = min(adj)
-        verts, edges = [start], []
-        eid, cur = adj[start][0]
-        while True:
-            edges.append(eid)
-            if cur == start:
-                break
-            verts.append(cur)
-            nxt = [(e, w) for e, w in adj[cur] if e != eid]
-            eid, cur = nxt[0]
-        return verts, edges
 
     def segments(self, j):
         """The C_j-segments: connected components of the loop inside D_j."""
@@ -162,49 +180,14 @@ class CLConfiguration:
     def chords(self, seg, i):
         """The i-chords of a segment: components of the segment inside the
         open interior of D_i, as (vertices, edges) subpaths."""
-        strict = self.seq.disks[i].strict_edges
-        out = []
-        run = None
-        for pos, eid in enumerate(seg.edges):
-            if eid in strict:
-                if run is None:
-                    run = [pos, pos]
-                else:
-                    run[1] = pos
-            else:
-                if run is not None:
-                    out.append(run)
-                    run = None
-        if run is not None:
-            out.append(run)
-        return [
-            Segment(i, tuple(seg.vertices[a : b + 2]), tuple(seg.edges[a : b + 1]))
-            for a, b in out
-        ]
+        return _runs(seg, i, self.seq.disks[i].strict_edges.__contains__)
 
     def semichords(self, chord, i):
         """Components of an i-chord outside the closed disk D_{i-1}."""
         if i == 0:
             raise InvalidConfiguration("semichords start at i=1")
         closed = self.seq.disks[i - 1].edges
-        out = []
-        run = None
-        for pos, eid in enumerate(chord.edges):
-            if eid not in closed:
-                if run is None:
-                    run = [pos, pos]
-                else:
-                    run[1] = pos
-            else:
-                if run is not None:
-                    out.append(run)
-                    run = None
-        if run is not None:
-            out.append(run)
-        return [
-            Segment(i, tuple(chord.vertices[a : b + 2]), tuple(chord.edges[a : b + 1]))
-            for a, b in out
-        ]
+        return _runs(chord, i, lambda eid: eid not in closed)
 
     # -- zones and the order on segments ----------------------------------
 
@@ -288,29 +271,10 @@ class CLConfiguration:
 
     # -- segment types -----------------------------------------------------
 
-    def _cycle_order(self, j):
-        """Vertices of C_j in cyclic order."""
-        edges = self.seq.cycles[j]
-        adj = {}
-        for eid in edges:
-            u, v = self.graph.edges[eid]
-            adj.setdefault(u, []).append((eid, v))
-            adj.setdefault(v, []).append((eid, u))
-        start = min(adj)
-        order = [start]
-        eid, cur = adj[start][0]
-        path_edges = [eid]
-        while cur != start:
-            order.append(cur)
-            nxt = [(e, w) for e, w in adj[cur] if e != eid]
-            eid, cur = nxt[0]
-            path_edges.append(eid)
-        return order, path_edges
-
     def _arcs_between(self, j, x, y):
         """The two arcs of C_j between x and y as (vertices, edges); for
         x == y one empty arc is returned."""
-        order, edges = self._cycle_order(j)
+        order, edges = _cycle_walk(self.graph, self.seq.cycles[j])
         n = len(order)
         ix, iy = order.index(x), order.index(y)
         if ix == iy:

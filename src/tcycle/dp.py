@@ -10,10 +10,10 @@ problem adds is data:
 - a required degree per vertex, 2 for a terminal and 1 for a matched
   vertex.  A vertex with one is forgotten only at that degree, any other
   vertex at degree 0 or 2; a vertex's degree is capped at its required
-  degree, or at 2 when it has none;
+  degree, or at 2 when it has none.  The answer is one cycle (T-Cycle)
+  iff some vertex has required degree 2, and otherwise paths alone
+  (linkage and profiles, where no cycle may close);
 - the matching, empty for T-Cycle;
-- whether the answer is one cycle (T-Cycle) or paths alone (linkage and
-  profiles, where no cycle may close);
 - a boundary set, empty except for `boundary_linkages`.
 
 Path ends are plain vertex ids.  A matched vertex forgotten at degree 1
@@ -59,18 +59,20 @@ over the children as they merge.  Which answer comes first follows the
 order of the tables: the input's ids and the decomposition, not the
 hash seed.
 
-The engine runs on the rooted decomposition itself, not a nice form.
-Unless the caller gives one, that is `treewidth.cheapest`'s pick: the
-path decomposition of a double BFS sweep, a chain whose only join is at
-its root, unless min-fill elimination is strictly narrower.  A
-vertex's top node is the one nearest the root whose bag holds it.  The
+The engine runs on any valid rooted decomposition as it is: a nice form
+is one more such decomposition, with no shape of its own checked.
+Unless the caller gives one, the decomposition is `treewidth.cheapest`'s
+pick: the path decomposition of a double BFS sweep, a chain whose only
+join is at its root, unless min-fill elimination is strictly narrower.
+A vertex's top node is the one nearest the root whose bag holds it.  The
 node step, children before parents: join the children's tables from the
-last back (as the nice form did), then forget, in sorted order, the
-vertices whose top node this is (the root forgets its whole bag).  Each edge is taken just before the
-first of its endpoints is forgotten, at the deeper of their top nodes:
-the nodes holding both endpoints form a subtree, and that is its top.
-Taken any earlier, say all of a node's edges before its first forget, a
-one-bag decomposition would hold every partial path of the graph at once.
+last back, then forget, in sorted order, the vertices whose top node
+this is (the root forgets its whole bag).  Each edge is taken just
+before the first of its endpoints is forgotten, at the deeper of their
+top nodes: the nodes holding both endpoints form a subtree, and that is
+its top.  Taken any earlier, say all of a node's edges before its first
+forget, a one-bag decomposition would hold every partial path of the
+graph at once.
 
 Where a run stops depends on the root as well as the bags.  A T-Cycle
 run can stop at the first node whose subtree touches every terminal, so
@@ -109,10 +111,11 @@ cycle goes to the stop rule above.  An edge step is a join with the
 one-path pairing {u, v}; each such step caches its settled merges.
 
 At the end of a run the engine logs one DEBUG line to the "tcycle.dp"
-logger, named after the problem: the nodes that ran (every node, unless
-the run stopped early) and their joins (a node with c children makes
-c - 1), the peak table size and the number of distinct pairs of pairings
-that joins spliced.
+logger, named after the problem (t-cycle, linkage or profile, read off
+the required degrees and the matching): the nodes that ran (every node,
+unless the run stopped early) and their joins (a node with c children
+makes c - 1), the peak table size and the number of distinct pairs of
+pairings that joins spliced.
 """
 
 import logging
@@ -120,22 +123,20 @@ import logging
 from .errors import InvalidConfiguration, TCycleError
 from .graph import unembedded
 from .oracle import check_matching, is_t_loop
-from .treewidth import NiceTreeDecomposition, TreeDecomposition, cheapest
+from .treewidth import TreeDecomposition, cheapest
 
 _log = logging.getLogger("tcycle.dp")
 
 
 def _prepare(graph, td):
-    """td validated, and its shape checked when it claims to be nice, or,
-    when td is None, `treewidth.cheapest`: the BFS path decomposition
-    unless min-fill elimination is strictly narrower, validated there.
-    The root is td's own; `solve_t_cycle` then moves it by `_rerooted`.
-    Any run stops at its first empty table (module docstring)."""
+    """td validated, or, when td is None, `treewidth.cheapest`: the BFS
+    path decomposition unless min-fill elimination is strictly narrower,
+    validated there.  The root is td's own; `solve_t_cycle` then moves it
+    by `_rerooted`.  Any run stops at its first empty table (module
+    docstring)."""
     if td is None:
         return cheapest(graph)
     td.validate(graph)
-    if isinstance(td, NiceTreeDecomposition):
-        td.check_shape()
     return td
 
 
@@ -260,17 +261,17 @@ class _Found(Exception):
 
 class _PathDP:
     """The path DP of the module docstring on the rooted decomposition td:
-    required maps vertices to required degrees, closes is whether the
-    answer is a cycle through every vertex of required degree 2 (T-Cycle),
-    and boundary holds the vertices whose path ends are tokens."""
+    required maps vertices to required degrees, and boundary holds the
+    vertices whose path ends are tokens.  The answer is a cycle through
+    every vertex of required degree 2 (T-Cycle) iff there is one."""
 
-    def __init__(self, name, graph, td, required, matching, closes, boundary=frozenset()):
-        self.name = name
+    def __init__(self, graph, td, required, matching, boundary=frozenset()):
         self.g = graph
         self.td = td
         self.required = required
         self.matching = matching
-        self.closes = closes
+        self.closes = closes = 2 in required.values()
+        self.name = "t-cycle" if closes else "linkage" if matching else "profile"
         self.boundary = boundary
         self.merges = 0  # distinct pairs of pairings spliced, over all joins
         _, self.children, order = td.rooted()
@@ -489,7 +490,7 @@ def solve_t_cycle(graph, terminals=None, td=None):
     if not T <= graph.vertices:
         raise InvalidConfiguration("terminal is not a vertex")
     td = _rerooted(_prepare(graph, td), T)
-    wit = _PathDP("t-cycle", graph, td, dict.fromkeys(T, 2), frozenset(), True).run()
+    wit = _PathDP(graph, td, dict.fromkeys(T, 2), frozenset()).run()
     if wit is None:
         return None
     loop = sorted(wit)
@@ -505,7 +506,7 @@ def solve_disjoint_paths(graph, matching, td=None):
         return True
     td = _prepare(graph, td)
     required = dict.fromkeys((v for p in pairs for v in p), 1)
-    dp = _PathDP("linkage", graph, td, required, frozenset(pairs), False)
+    dp = _PathDP(graph, td, required, frozenset(pairs))
     return dp.run() is not None
 
 
@@ -516,7 +517,7 @@ def boundary_linkages(graph, boundary, td=None):
     the paths disjoint but for shared ends.  A path from b back to b is
     (b, b), and two paths between a and b give (a, b) twice."""
     B = frozenset(boundary)
-    dp = _PathDP("profile", graph, _prepare(graph, td), {}, frozenset(), False, B)
+    dp = _PathDP(graph, _prepare(graph, td), {}, frozenset(), B)
     return {
         tuple(sorted(tuple(sorted(b for b, _ in p)) for p in pairs))
         for _, pairs in dp.root_table()
@@ -548,7 +549,7 @@ def subdivided_instance(graph, matching):
     return unembedded(verts, edges, new_verts), frozenset(new_verts)
 
 
-def solve_m_cycle(graph, boundary, matching, td=None):
+def solve_m_cycle(graph, boundary, matching):
     """True iff a cycle visits the matched pairs consecutively: a terminal
     loop through the subdivision vertices of the subdivided graph."""
     pairs = check_matching(graph, matching)
@@ -557,20 +558,4 @@ def solve_m_cycle(graph, boundary, matching, td=None):
     if not pairs:
         return True  # an empty requirement is satisfied by convention
     gm, subs = subdivided_instance(graph, matching)
-    if td is not None:
-        td = _extend_for_subdivision(td, graph, boundary, gm, subs)
-    return solve_t_cycle(gm, subs, td) is not None
-
-
-def _extend_for_subdivision(td, graph, boundary, gm, subs):
-    """Cover the subdivision vertices: add the boundary to every bag and
-    hang one bag per fresh vertex off the root."""
-    boundary = frozenset(boundary)
-    bags = {n: bag | boundary for n, bag in td.bags.items()}
-    links = list(td.links)
-    nxt = max(bags) + 1
-    for w in sorted(subs):
-        bags[nxt] = boundary | {w}
-        links.append((td.root, nxt))
-        nxt += 1
-    return TreeDecomposition(bags, links, root=td.root)
+    return solve_t_cycle(gm, subs) is not None

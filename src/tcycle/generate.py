@@ -328,7 +328,7 @@ def random_planar(n, seed, drop=0.3, k=0):
     connected; convex hull edges are kept so the outer face is the hull.
     Picks k random terminals if k > 0.
     """
-    from scipy.spatial import Delaunay
+    from scipy.spatial import Delaunay, QhullError
 
     if n < 3:
         raise InvalidConfiguration(f"a triangulation needs 3 points, not {n}")
@@ -339,7 +339,7 @@ def random_planar(n, seed, drop=0.3, k=0):
         pts = [(rng.random(), rng.random()) for _ in range(n)]
         try:
             tri = Delaunay(pts)
-        except Exception:
+        except QhullError:  # degenerate points: draw again
             continue
         if len(set(map(tuple, tri.convex_hull.tolist()))) >= 3:
             break

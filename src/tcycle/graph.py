@@ -342,7 +342,7 @@ def _trace_embedding(graph):
 
 
 def radial_bfs(graph, sources, emb=None):
-    """Radial distances from a set of sources.
+    """Radial distances from an iterable of source vertices.
 
     One step goes from a vertex to any vertex sharing a face with it, so the
     result is d^R(v, sources) = min over sources of the radial distance.
@@ -350,8 +350,6 @@ def radial_bfs(graph, sources, emb=None):
     """
     if emb is None:
         emb = graph.embedding()
-    if isinstance(sources, int):
-        sources = [sources]
     sources = list(sources)
     for s in sources:
         if s not in graph.vertices:
@@ -467,32 +465,20 @@ def _region_disk(graph, emb, cycle_edges, region):
     return Disk(cycle_edges, verts, frozenset(region), frozenset(strict_v), frozenset(strict_e))
 
 
-def disk_of_cycle(graph, cycle_edges, emb=None, inside=None):
-    """Closed disk of a cycle.
-
-    inside picks the side explicitly (a set of face ids); by default the
-    side not containing the outer face of the cycle's component is used.
-    """
+def disk_of_cycle(graph, cycle_edges, emb=None):
+    """Closed disk of a cycle: the side not containing the outer face of
+    the cycle's component (`both_disks` gives either side)."""
     if emb is None:
         emb = graph.embedding()
     a, b = cycle_sides(graph, cycle_edges, emb)
-    if inside is not None:
-        inside = frozenset(inside)
-        if inside == a:
-            region = a
-        elif inside == b:
-            region = b
-        else:
-            raise NotACycle("given face set is not a side of the cycle")
+    verts = cycle_vertices(graph, cycle_edges)
+    outer = emb.outer_faces[emb.component_of[next(iter(verts))]]
+    if outer in a:
+        region = b
+    elif outer in b:
+        region = a
     else:
-        verts = cycle_vertices(graph, cycle_edges)
-        outer = emb.outer_faces[emb.component_of[next(iter(verts))]]
-        if outer in a:
-            region = b
-        elif outer in b:
-            region = a
-        else:
-            raise NotACycle("outer face not on either side of the cycle")
+        raise NotACycle("outer face not on either side of the cycle")
     return _region_disk(graph, emb, cycle_edges, region)
 
 

@@ -8,7 +8,7 @@ the embedded-graph plumbing.
 
 from collections import Counter
 
-from .errors import InvalidConfiguration, SizeLimitExceeded, UnknownVertex
+from .errors import InvalidConfiguration, NotACycle, SizeLimitExceeded, UnknownVertex
 from .graph import both_disks, cycle_vertices, disk_of_cycle
 
 T_CYCLE_LIMIT = 18
@@ -64,10 +64,14 @@ def all_cycles(graph, max_count=None):
 
 
 def is_t_loop(graph, terminals, edge_ids):
-    """Check that edge_ids forms one simple cycle through every terminal."""
+    """Check that edge_ids, each id once, forms one simple cycle through
+    every terminal; an unknown id fails the check."""
+    edge_ids = list(edge_ids)
+    if len(set(edge_ids)) != len(edge_ids):
+        return False
     try:
         verts = cycle_vertices(graph, edge_ids)
-    except Exception:
+    except (NotACycle, KeyError):
         return False
     return frozenset(terminals) <= verts
 
@@ -234,11 +238,9 @@ def brute_minor(host, pattern):
     Both are EmbeddedGraphs (only their abstract structure is used).  The
     result maps each pattern vertex to a frozenset of host vertices; a
     pattern with no vertices gives {}, so test the result with `is not
-    None`.  Connected subsets are generated one size at a time, and a
-    size only once the search has tried every smaller subset, so a model
-    with small branch sets never lists the large ones.  Candidates are
-    tried smallest first, and the first model found is returned.
-    Exhaustive for |V(host)| <= 18 and |V(pattern)| <= 8."""
+    None`.  Every connected subset up to the size cap is listed up front;
+    candidates are tried smallest first, and the first model found is
+    returned.  Exhaustive for |V(host)| <= 18 and |V(pattern)| <= 8."""
     hv = sorted(host.vertices)
     pv = sorted(pattern.vertices)
     if len(hv) > MINOR_HOST_LIMIT:
@@ -264,35 +266,16 @@ def brute_minor(host, pattern):
     if len(pedges) > len(host.edges):
         return None
     size_cap = len(hv) - len(pv) + 1
-
-    # subsets holds the levels generated so far, smallest size first; the
-    # size-s level is the size-s part of the subsets up to size s, in the
-    # order _connected_subsets lists them, so the search sees the same
-    # sequence as over the full size-sorted list
-    subsets = []
+    subsets = _connected_subsets(adjmask, hv, size_cap, budget=2_000_000)
     nbr = {}
-    level = 0
-
-    def grow():
-        """Append the next level; False once the size cap is reached."""
-        nonlocal level
-        if level == size_cap:
-            return False
-        level += 1
-        fresh = [
-            m
-            for m in _connected_subsets(adjmask, hv, level, budget=2_000_000)
-            if m.bit_count() == level
-        ]
-        for mask in fresh:
-            m, acc = mask, 0
-            while m:
-                low = m & -m
-                m ^= low
-                acc |= adjmask[low.bit_length() - 1]
-            nbr[mask] = acc & ~mask
-        subsets.extend(fresh)
-        return True
+    for mask in subsets:
+        m, acc = mask, 0
+        while m:
+            low = m & -m
+            m ^= low
+            acc |= adjmask[low.bit_length() - 1]
+        nbr[mask] = acc & ~mask
+    subsets.sort(key=int.bit_count)
 
     # order pattern vertices so each (after the first in its component)
     # has an earlier neighbor
@@ -320,20 +303,16 @@ def brute_minor(host, pattern):
         p = order[i]
         earlier = [assigned[pos[q]] for q in padj[p] if pos[q] < i]
         remaining_after = len(order) - i - 1
-        done = 0
-        while done < len(subsets) or grow():
-            batch = subsets[done:]
-            done += len(batch)
-            for mask in batch:
-                if mask & used:
-                    continue
-                if len(hv) - (used | mask).bit_count() < remaining_after:
-                    continue
-                if any(not (nbr[mask] & em) for em in earlier):
-                    continue
-                assigned[i] = mask
-                if place(i + 1, used | mask):
-                    return True
+        for mask in subsets:
+            if mask & used:
+                continue
+            if len(hv) - (used | mask).bit_count() < remaining_after:
+                continue
+            if any(not (nbr[mask] & em) for em in earlier):
+                continue
+            assigned[i] = mask
+            if place(i + 1, used | mask):
+                return True
         return False
 
     if not place(0, 0):

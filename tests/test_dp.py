@@ -114,25 +114,6 @@ def test_invalid_decomposition_rejected():
         solve_t_cycle(g, {1, 2}, other)
 
 
-def test_nice_decomposition_with_a_nonempty_root_rejected():
-    # the nice form's root forgets the last vertex; dropping it leaves a
-    # valid decomposition whose root bag is {10}
-    g = generate.grid(3, 4, terminals={1, 12})
-    td = make_nice(build(g))
-    (top,) = td.children[td.root]
-    assert td.bags[top] == {10}
-    rest = [n for n in td.bags if n != td.root]
-    cut = NiceTreeDecomposition(
-        {n: td.bags[n] for n in rest}, {n: td.kind[n] for n in rest},
-        {n: td.children[n] for n in rest}, top,
-    )
-    cut.validate(g)
-    assert solve_t_cycle(g) is not None
-    assert solve_t_cycle(g, td=td) is not None
-    with pytest.raises(InvalidDecomposition, match="root bag is not empty"):
-        solve_t_cycle(g, td=cut)
-
-
 def test_boundary_linkages_small_cases():
     # a path passes through its middle only when that is not a boundary vertex
     assert boundary_linkages(generate.path_graph(3), {1, 3}) == {(), ((1, 3),)}
@@ -164,14 +145,6 @@ def test_m_cycle_examples():
     assert not solve_m_cycle(path, [1, 2, 3, 4], [(1, 2), (3, 4)])
     with pytest.raises(InvalidConfiguration):
         solve_m_cycle(g, [1], [(1, 3)])
-
-
-def test_m_cycle_with_supplied_decomposition():
-    g = generate.grid(3, 3)
-    td = build(g)
-    B = [1, 3, 7, 9]
-    for M in ([], [(1, 3)], [(1, 9), (3, 7)]):
-        assert solve_m_cycle(g, B, M, td) == solve_m_cycle(g, B, M)
 
 
 def test_loop_implies_linkage_of_split_pairs():
@@ -238,7 +211,7 @@ def one_bag(graph):
 def test_prepare_assignment_matches_naive_reference(min_degree_td):
     for g in assignment_graphs():
         for td in (None, min_degree_td(g), make_nice(build(g)), one_bag(g)):
-            engine = dp._PathDP("t-cycle", g, dp._prepare(g, td), {}, frozenset(), True)
+            engine = dp._PathDP(g, dp._prepare(g, td), {}, frozenset())
             got = {
                 x: sorted(e for v in vs for e in engine.charged[v])
                 for x, vs in engine.forget.items()
@@ -259,7 +232,7 @@ def test_prepare_assignment_matches_naive_reference(min_degree_td):
 def test_slots_are_distinct_within_every_bag(min_degree_td):
     for g in assignment_graphs():
         for td in (build(g), min_degree_td(g), make_nice(build(g)), one_bag(g)):
-            engine = dp._PathDP("t-cycle", g, td, {}, frozenset(), True)
+            engine = dp._PathDP(g, td, {}, frozenset())
             size = max(map(len, td.bags.values()))
             for bag in td.bags.values():
                 slots = [engine.slot[v] for v in bag]
@@ -352,7 +325,7 @@ def test_bad_witness_raises(monkeypatch):
 def solve_rooted(g, T, td):
     """The T-Cycle engine's edge ids on td as rooted, which solve_t_cycle
     would re-root, or None."""
-    return dp._PathDP("t-cycle", g, td, dict.fromkeys(T, 2), frozenset(), True).run()
+    return dp._PathDP(g, td, dict.fromkeys(T, 2), frozenset()).run()
 
 
 def check_against_brute(edges, T, bags, links):
@@ -433,8 +406,7 @@ def ref_root(g, td, T):
         return td.root
     costs = []
     for leaf in leaves:
-        run = dp._PathDP("t-cycle", g, TreeDecomposition(td.bags, td.links, root=leaf),
-                         {}, frozenset(), True)
+        run = dp._PathDP(g, TreeDecomposition(td.bags, td.links, root=leaf), {}, frozenset())
         cost = 0
         touched = {}
         for x in run.postorder:
@@ -522,14 +494,13 @@ class NiceDP(dp._PathDP):
     closed flag: it carries each closed cycle to the root and reads the
     answer there.  It settles merges and names ends as the engine does."""
 
-    def __init__(self, name, graph, td, assign, required, matching, closes, boundary=frozenset()):
-        self.name = name
+    def __init__(self, graph, td, assign, required, matching, boundary=frozenset()):
         self.g = graph
         self.td = td
         self.assign = assign
         self.required = required
         self.matching = matching
-        self.closes = closes
+        self.closes = 2 in required.values()
         self.boundary = boundary
         self.merges = 0
 
@@ -1126,7 +1097,7 @@ def test_every_node_matches_the_reference():
         ref = _TCycleDP(g, T, td, assign)
         new = Lockstep(
             ref, {((), frozenset(), False): None}, packed,
-            "t-cycle", g, td, assign, dict.fromkeys(T, 2), frozenset(), True,
+            g, td, assign, dict.fromkeys(T, 2), frozenset(),
         )
         wit = new.run()
         assert (wit is not None) == (((), frozenset(), True) in new.ref_tables[td.root])
@@ -1139,7 +1110,7 @@ def test_every_node_matches_the_reference():
         required = dict.fromkeys((v for p in pairs for v in p), 1)
         new = Lockstep(
             ref, {((), frozenset(), frozenset())}, untagged,
-            "linkage", g, td, assign, required, frozenset(pairs), False,
+            g, td, assign, required, frozenset(pairs),
         )
         found = new.run() is not None
         assert found == (((), frozenset(), frozenset(pairs)) in new.ref_tables[td.root])
@@ -1188,9 +1159,9 @@ def test_tables_match_the_nice_oracle_where_the_engines_meet(min_degree_td):
         pairs = dp.check_matching(g, M)
         linked = frozenset(v for p in pairs for v in p)
         runs = (
-            ("t-cycle", dict.fromkeys(T, 2), frozenset(), True, frozenset()),
-            ("linkage", dict.fromkeys(linked, 1), frozenset(pairs), False, frozenset()),
-            ("profile", {}, frozenset(), False, frozenset(T[:2])),
+            ("t-cycle", dict.fromkeys(T, 2), frozenset(), frozenset()),
+            ("linkage", dict.fromkeys(linked, 1), frozenset(pairs), frozenset()),
+            ("profile", {}, frozenset(), frozenset(T[:2])),
         )
         for td in (build(g), min_degree_td(g)):
             nice, assign = nice_prepare(g, td)
@@ -1200,9 +1171,10 @@ def test_tables_match_the_nice_oracle_where_the_engines_meet(min_degree_td):
                 if nice.kind[n] == "forget":
                     below[n] |= {distinguished(nice, n)}
             ends = {(nice.bags[n], below[n]): n for n, k in nice.kind.items() if k == "forget"}
-            for name, required, matching, closes, boundary in runs:
-                new = Recorded(name, g, td, required, matching, closes, boundary)
-                old = RecordedNice(name, g, nice, assign, required, matching, closes, boundary)
+            for name, required, matching, boundary in runs:
+                new = Recorded(g, td, required, matching, boundary)
+                assert new.name == name
+                old = RecordedNice(g, nice, assign, required, matching, boundary)
                 assert (new.run() is None) == (old.run() is None), (name, i)
                 # a T-Cycle run stops where its answer closes: the nodes it
                 # finished hold the oracle's states that are not closed
@@ -1258,7 +1230,7 @@ def test_degree_code_matches_degree_tuples(case):
     # the root holds bag[pos:], so the slots run from v round to bag[pos - 1]
     td = TreeDecomposition({0: bag[pos:], 1: bag}, [(0, 1)], root=0)
     engine = dp._PathDP(
-        "t-cycle", unembedded(bag, {}), td, required, frozenset(), True,
+        unembedded(bag, {}), td, required, frozenset(),
         frozenset({v}),  # forgotten at any degree
     )
     assert [engine.slot[u] for u in bag] == [(i - pos) % len(bag) for i in range(len(bag))]

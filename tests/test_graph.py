@@ -166,6 +166,41 @@ def test_radial_disconnected():
     assert 3 not in radial_bfs(g, [1])
 
 
+class _Stop(BaseException):
+    """Not an Exception, so a loop that retries on any Exception ends."""
+
+
+def test_random_planar_draws_again_only_after_a_qhull_error(monkeypatch):
+    import scipy.spatial
+
+    real = scipy.spatial.Delaunay
+
+    def fake(error):
+        """A Delaunay whose first call raises error; a later call
+        triangulates after a QhullError and raises _Stop after any other."""
+        calls = []
+
+        def delaunay(points):
+            calls.append(points)
+            if len(calls) == 1:
+                raise error("fake")
+            if error is not scipy.spatial.QhullError:
+                raise _Stop
+            return real(points)
+
+        return delaunay, calls
+
+    delaunay, calls = fake(scipy.spatial.QhullError)
+    monkeypatch.setattr(scipy.spatial, "Delaunay", delaunay)
+    assert len(generate.random_planar(12, seed=5).vertices) == 12
+    assert len(calls) == 2
+    delaunay, calls = fake(ValueError)
+    monkeypatch.setattr(scipy.spatial, "Delaunay", delaunay)
+    with pytest.raises(ValueError):
+        generate.random_planar(12, seed=5)
+    assert len(calls) == 1
+
+
 def test_nested_rings_disks():
     g = generate.nested_rings(3)
     rings = generate.ring_ids(3)
